@@ -1,5 +1,7 @@
-//! The backend worker: hosts one engine in its own process and speaks
-//! the `squality_backend::protocol` frame format on stdin/stdout.
+//! The backend worker: hosts one engine connection in its own process and
+//! speaks the `squality_backend::protocol` frame format on stdin/stdout.
+//! The connection carries the provisioned files and extensions, and the
+//! engine's coverage, across `RESET`s exactly as it does in-process.
 //!
 //! Invocation: `squality-backend-worker <dialect> <client> <fault-bits>`
 //! where `<dialect>` is an engine token (`sqlite`, `postgresql`,
@@ -17,10 +19,11 @@
 //!   `EXEC` (the parent's deadline must fire).
 
 use squality_backend::protocol::{
-    encode_error, encode_result, parse_ext_request, parse_file_request, read_frame, write_frame,
-    PROTO_VERSION,
+    encode_coverage, encode_error, encode_result, parse_ext_request, parse_file_request,
+    read_frame, write_frame, PROTO_VERSION,
 };
-use squality_engine::{ClientKind, Engine, EngineDialect, FaultId, FaultProfile};
+use squality_engine::{ClientKind, EngineDialect, FaultId, FaultProfile};
+use squality_runner::{Connector, EngineConnector};
 use std::io::Write;
 
 fn usage() -> ! {
@@ -62,11 +65,6 @@ fn main() {
         "connector" => ClientKind::Connector,
         _ => usage(),
     };
-    // The worker never renders — rendering is parent-side — but the
-    // client kind is accepted so the argv fully describes the cell; a
-    // future wire version could move rendering worker-side without an
-    // argv change.
-    let _ = client;
     let Some(faults) = parse_faults(bits) else { usage() };
 
     let crash_after = hook("SQUALITY_CRASH_AFTER");
@@ -78,10 +76,7 @@ fn main() {
     let stdout = std::io::stdout();
     let mut writer = stdout.lock();
 
-    let mut engine = Engine::with_faults(dialect, faults);
-    // The provisioned environment, replayed into fresh engines on RESET.
-    let mut files: Vec<(String, Vec<String>)> = Vec::new();
-    let mut extensions: Vec<String> = Vec::new();
+    let mut conn = EngineConnector::with_faults(dialect, client, faults);
 
     loop {
         let request = match read_frame(&mut reader) {
@@ -105,8 +100,9 @@ fn main() {
             match std::str::from_utf8(sql) {
                 // Engine errors — including simulated Fatal/Hang faults —
                 // are ordinary ERR responses: the parent applies the same
-                // expectation matching as an in-process run.
-                Ok(sql) => match engine.execute(sql) {
+                // expectation matching as an in-process run. The raw engine
+                // answers: the client simulation stays parent-side.
+                Ok(sql) => match conn.engine_mut().execute(sql) {
                     Ok(result) => encode_result(&result),
                     Err(error) => encode_error(&error),
                 },
@@ -117,19 +113,12 @@ fn main() {
             // suite file, so restarting the EXEC count here makes
             // crash/hang injection deterministic at any worker count.
             execs = 0;
-            engine = Engine::with_faults(dialect, faults);
-            for (path, lines) in &files {
-                engine.register_file(path, lines.clone());
-            }
-            for ext in &extensions {
-                engine.register_extension(ext);
-            }
+            conn.reset();
             b"OK".to_vec()
         } else if let Some(rest) = request.strip_prefix(b"FILE ") {
             match parse_file_request(rest) {
                 Ok((path, lines)) => {
-                    engine.register_file(&path, lines.clone());
-                    files.push((path, lines));
+                    conn.provide_file(&path, lines);
                     b"OK".to_vec()
                 }
                 Err(_) => std::process::exit(3),
@@ -137,12 +126,13 @@ fn main() {
         } else if let Some(rest) = request.strip_prefix(b"EXT ") {
             match parse_ext_request(rest) {
                 Ok(name) => {
-                    engine.register_extension(&name);
-                    extensions.push(name);
+                    conn.provide_extension(&name);
                     b"OK".to_vec()
                 }
                 Err(_) => std::process::exit(3),
             }
+        } else if request == b"COV" {
+            encode_coverage(conn.engine().coverage())
         } else {
             std::process::exit(3)
         };

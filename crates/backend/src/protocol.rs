@@ -14,18 +14,21 @@
 //!   (registered files/extensions); answered with `OK`.
 //! * `FILE <len>:<path><n>:<line>*` — register a data file; `OK`.
 //! * `EXT <len>:<name>` — register an available extension; `OK`.
+//! * `COV` — report the engine coverage accumulated since the worker
+//!   started (it survives `RESET`); answered with `COV …` (see
+//!   [`encode_coverage`]).
 //!
 //! Result values are encoded exactly — floats ship as the hex of their
 //! IEEE-754 bit pattern, so the parent renders byte-identically to an
 //! in-process run. Rendering stays parent-side (the parent knows the
 //! dialect and client kind); the worker only ever ships typed values.
 
-use squality_engine::{EngineError, ErrorKind, QueryResult, Value};
+use squality_engine::{Coverage, EngineError, ErrorKind, QueryResult, Value};
 use std::io::{BufRead, Write};
 
 /// Protocol version, exchanged in the HELLO handshake. Bump on any wire
 /// format change.
-pub const PROTO_VERSION: u32 = 1;
+pub const PROTO_VERSION: u32 = 2;
 
 /// Write one length-prefixed frame.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
@@ -270,6 +273,23 @@ pub fn encode_error(error: &EngineError) -> Vec<u8> {
     out
 }
 
+/// Encode a COV response: `COV L<n>:<point>* B<n>:<point>*`, one counted
+/// string per feature (`L`) and decision (`B`) point, tagged `1` when hit
+/// and `0` when only registered.
+pub fn encode_coverage(coverage: &Coverage) -> Vec<u8> {
+    let mut out = b"COV ".to_vec();
+    let sections: [(u8, Vec<(&str, bool)>); 2] =
+        [(b'L', coverage.line_entries().collect()), (b'B', coverage.branch_entries().collect())];
+    for (tag, points) in sections {
+        out.push(tag);
+        enc_count(&mut out, points.len());
+        for (point, hit) in points {
+            enc_bytes(&mut out, if hit { b'1' } else { b'0' }, point.as_bytes());
+        }
+    }
+    out
+}
+
 /// A decoded worker response.
 #[derive(Debug, PartialEq)]
 pub enum Response {
@@ -281,6 +301,8 @@ pub enum Response {
     Result(QueryResult),
     /// `ERR ...` — the engine's error verdict on a statement.
     Error(EngineError),
+    /// `COV ...` — the worker engine's accumulated coverage.
+    Coverage(Coverage),
 }
 
 /// Decode a worker response payload.
@@ -348,6 +370,32 @@ pub fn parse_response(payload: &[u8]) -> Result<Response, String> {
         cur.pos += 1; // the ' '
         let message = cur.counted_str()?.to_string();
         return Ok(Response::Error(EngineError::new(kind, message)));
+    }
+    if let Some(rest) = payload.strip_prefix(b"COV ") {
+        let mut cur = Cursor { buf: rest, pos: 0 };
+        let mut coverage = Coverage::new();
+        for tag in [b'L', b'B'] {
+            if cur.byte()? != tag {
+                return Err(format!("missing coverage section {:?}", tag as char));
+            }
+            for _ in 0..cur.number(b':')? {
+                let hit = match cur.byte()? {
+                    b'1' => true,
+                    b'0' => false,
+                    other => return Err(format!("bad coverage hit bit {:?}", other as char)),
+                };
+                let point = cur.counted_str()?;
+                if tag == b'L' {
+                    coverage.set_line(point, hit);
+                } else {
+                    coverage.set_branch(point, hit);
+                }
+            }
+        }
+        if cur.pos != rest.len() {
+            return Err("trailing bytes after coverage".to_string());
+        }
+        return Ok(Response::Coverage(coverage));
     }
     Err(format!("unknown response ({} bytes)", payload.len()))
 }
@@ -501,6 +549,22 @@ mod tests {
     }
 
     #[test]
+    fn coverage_roundtrips_exactly() {
+        let mut coverage = Coverage::new();
+        coverage.register_line("stmt:SELECT");
+        coverage.hit_line("fn:count");
+        coverage.hit_line("odd \"point\":\n1;");
+        coverage.register_branch("op:/:ok");
+        coverage.hit_branch("err:Syntax");
+        for sent in [Coverage::new(), coverage] {
+            match parse_response(&encode_coverage(&sent)).unwrap() {
+                Response::Coverage(back) => assert_eq!(back, sent),
+                other => panic!("{other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn garbage_is_a_decode_error_not_a_panic() {
         for garbage in [
             &b"RES "[..],
@@ -510,6 +574,14 @@ mod tests {
             b"ERR Banana 2:xx",
             b"WHAT",
             b"RES C0:R0:A0;junk",
+            b"COV ",
+            b"COV L1:",
+            b"COV L1:2:x",
+            b"COV L1:x1:aB0:",
+            b"COV L0:",
+            b"COV B0:L0:",
+            b"COV L0:B0:junk",
+            b"COV L18446744073709551616:B0:",
         ] {
             assert!(parse_response(garbage).is_err(), "{garbage:?}");
         }

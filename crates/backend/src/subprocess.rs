@@ -23,7 +23,7 @@ use crate::protocol::{
     encode_ext_request, encode_file_request, parse_response, read_frame, write_frame, Response,
     PROTO_VERSION,
 };
-use squality_engine::{ClientKind, EngineDialect, FaultProfile, QueryResult, Value};
+use squality_engine::{ClientKind, Coverage, EngineDialect, FaultProfile, QueryResult, Value};
 use squality_runner::{
     client_result_error, engine_info, engine_token, Connector, ConnectorError, ConnectorFactory,
     ConnectorInfo, TransportError, TransportErrorKind,
@@ -315,6 +315,19 @@ impl SubprocessConnector {
             let _ = Self::roundtrip(worker, self.config.deadline, &encode_ext_request(name));
         }
         self.config.extensions.push(name.to_string());
+    }
+
+    /// The engine coverage the worker process has accumulated (a `COV`
+    /// round-trip). Coverage lives in the worker, so a worker that died
+    /// took its hits with it: a dead or misbehaving worker contributes
+    /// nothing, and under injected crashes the result is a lower bound on
+    /// an in-process run's.
+    pub fn coverage(&mut self) -> Coverage {
+        let Some(worker) = self.worker.as_mut() else { return Coverage::new() };
+        match Self::roundtrip(worker, self.config.deadline, b"COV").map(|r| parse_response(&r)) {
+            Ok(Ok(Response::Coverage(coverage))) => coverage,
+            _ => Coverage::new(),
+        }
     }
 
     /// Spawn a fresh worker, handshake, and replay the provisioned

@@ -192,7 +192,7 @@ fn factory_info_is_static_and_connection_info_is_live() {
     assert_eq!(info.engine, "sqlite");
     assert_eq!(info.transport, "subprocess");
     assert_eq!(info.backend_pid, None, "suite metadata must not depend on pids");
-    assert_eq!(info.backend_version.as_deref(), Some("worker/1"));
+    assert_eq!(info.backend_version.as_deref(), Some("worker/2"));
     let conn = factory.connect().unwrap();
     let live = conn.info();
     assert_eq!(live.backend_pid, conn.backend_pid());

@@ -29,7 +29,7 @@
 //! engine: worker crashes, hangs, and protocol breaks become classified
 //! failures with bounded restarts, and a fault breakdown is reported on
 //! stderr after the run. Subprocess cells are never served from the
-//! result cache, and the coverage experiment always runs in-process.
+//! result cache; Table 8's coverage is read back from the workers.
 //!
 //! `--events PATH` streams every study cell's run events to a JSONL log
 //! (byte-identical at any worker count); `--progress` reports per-file

@@ -2,7 +2,7 @@
 //! orchestrated over the generated corpora and the four engine simulators.
 
 use crate::cache::{CacheStats, ResultCache};
-use crate::harness::{Harness, HarnessBuilder, Run};
+use crate::harness::{Harness, HarnessBuilder};
 use crate::stability::{StabilityConfig, StabilityReport};
 use crate::transplant::{sample_failures, Incident, Provision, SuiteRunSummary};
 use squality_backend::{BackendFaultBreakdown, BackendSpec};
@@ -55,9 +55,10 @@ pub struct StudyConfig {
     /// (default) keeps the engine in the harness process —
     /// byte-identical results to every prior release.
     /// [`BackendSpec::Subprocess`] puts every worker connection behind a
-    /// `squality-backend-worker` child process; the coverage experiment
-    /// always runs in-process, since line coverage is engine
-    /// instrumentation read from the harness side.
+    /// `squality-backend-worker` child process, and Table 8's coverage is
+    /// read back from the workers over the wire. Under injected worker
+    /// crashes that coverage is a lower bound: a dead worker's hits die
+    /// with it.
     pub backend: BackendSpec,
     /// Also run the **stability arm**: after the matrix, re-execute one
     /// exemplar per failure cluster (and every bug finding) under the
@@ -269,8 +270,8 @@ pub fn run_study(config: StudyConfig) -> Study {
 }
 
 /// Run the full study, streaming every cell's [`RunEvent`] stream — donor
-/// validation, both matrix arms, and the coverage runs, in their fixed
-/// execution order — to the given observers (e.g. a
+/// validation and both matrix arms, in their fixed execution order — to
+/// the given observers (e.g. a
 /// [`JsonlObserver`](squality_runner::JsonlObserver) for a
 /// machine-readable run log, a
 /// [`ProgressObserver`](squality_runner::ProgressObserver) for the CLI).
@@ -334,45 +335,53 @@ pub fn run_study_cached(
     // the donor suite as its own framework would — full environment and the
     // original client — which is why Figure 4's diagonal reads 100% even
     // though Table 4 reports donor failures under the unified runner.
-    let run_arm =
-        |translate: bool, backend_faults: &mut BackendFaultBreakdown| -> Vec<MatrixCell> {
-            let mut cells = Vec::new();
-            for gs in &executed {
-                for host in EngineDialect::ALL {
-                    let is_donor = host == donor_dialect(gs.suite);
-                    let run = cell_builder(
-                        gs,
-                        workers,
-                        &config.backend,
-                        &plan_cache,
-                        result_cache,
-                        observers,
-                    )
-                    .host(host)
-                    .client(if is_donor { ClientKind::Cli } else { ClientKind::Connector })
-                    .provision(if is_donor { Provision::Full } else { Provision::CrossHost })
-                    .translate(translate)
-                    .build()
-                    .expect("suite is always set")
-                    .run();
-                    if let Some(faults) = &run.backend_faults {
-                        backend_faults.merge(faults);
-                    }
-                    cells.push(MatrixCell { suite: gs.suite, host, summary: run.summary });
+    let run_arm = |translate: bool,
+                   backend_faults: &mut BackendFaultBreakdown|
+     -> Vec<(MatrixCell, Coverage)> {
+        let mut cells = Vec::new();
+        for gs in &executed {
+            for host in EngineDialect::ALL {
+                let is_donor = host == donor_dialect(gs.suite);
+                let run = cell_builder(
+                    gs,
+                    workers,
+                    &config.backend,
+                    &plan_cache,
+                    result_cache,
+                    observers,
+                )
+                .host(host)
+                .client(if is_donor { ClientKind::Cli } else { ClientKind::Connector })
+                .provision(if is_donor { Provision::Full } else { Provision::CrossHost })
+                .translate(translate)
+                .build()
+                .expect("suite is always set")
+                .run();
+                if let Some(faults) = &run.backend_faults {
+                    backend_faults.merge(faults);
                 }
+                cells.push((
+                    MatrixCell { suite: gs.suite, host, summary: run.summary },
+                    run.coverage,
+                ));
             }
-            cells
-        };
-    let matrix = run_arm(false, &mut backend_faults);
+        }
+        cells
+    };
+    let (matrix, cell_coverage): (Vec<MatrixCell>, Vec<Coverage>) =
+        run_arm(false, &mut backend_faults).into_iter().unzip();
 
     // 3b. The translated arm: the same 12 cells with cross-dialect
     // statement translation. Translated text is just another key in the
     // shared plan cache, so the arm reuses the study-wide cache too.
-    let translated_matrix =
-        if config.translated_arm { run_arm(true, &mut backend_faults) } else { Vec::new() };
+    let translated_matrix = if config.translated_arm {
+        run_arm(true, &mut backend_faults).into_iter().map(|(cell, _)| cell).collect()
+    } else {
+        Vec::new()
+    };
 
-    // 4. Coverage experiment (Table 8) on the three engines with own suites.
-    let coverage = coverage_experiment(&executed, workers, &plan_cache, result_cache, observers);
+    // 4. Table 8, from the verbatim cells' coverage.
+    let coverage = table8_rows(&matrix, &cell_coverage);
 
     // 5. Collect crash/hang findings across all runs (§6).
     let mut bugs = Vec::new();
@@ -452,72 +461,36 @@ fn dedupe_bugs(bugs: &mut Vec<BugFinding>) {
 }
 
 /// Table 8: each engine's coverage under its original suite vs under the
-/// unified SQuaLity corpus (all three suites).
-///
-/// Runs through the scheduler like every other cell; per-worker coverage
-/// recorders are unioned afterwards, which equals what a single sequential
-/// connection would have accumulated (feature coverage is a monotone hit
-/// set).
-fn coverage_experiment(
-    executed: &[&GeneratedSuite],
-    workers: usize,
-    plan_cache: &Arc<PlanCache>,
-    result_cache: Option<&Arc<ResultCache>>,
-    observers: &[&dyn RunObserver],
-) -> Vec<CoverageRow> {
+/// unified SQuaLity corpus (all three suites), harvested from the verbatim
+/// matrix arm. "Original" is the diagonal cell — the engine's own suite on
+/// that engine — and "SQuaLity" is the union of the three suites' cells on
+/// it (feature coverage is a monotone hit set). The translated arm never
+/// contributes: it executes different statement text.
+fn table8_rows(matrix: &[MatrixCell], cell_coverage: &[Coverage]) -> Vec<CoverageRow> {
     let engines = [EngineDialect::Sqlite, EngineDialect::Duckdb, EngineDialect::Postgres];
-    let mut rows = Vec::new();
-    for engine in engines {
-        let run_and_merge = |gs: &GeneratedSuite, cov: &mut Coverage| {
-            let provision = if donor_dialect(gs.suite) == engine {
-                Provision::Full
-            } else {
-                Provision::CrossHost
-            };
-            // Always in-process: line coverage is engine instrumentation
-            // read from the harness side of the process boundary.
-            let Run { connectors, replayed_coverage, .. } = cell_builder(
-                gs,
-                workers,
-                &BackendSpec::InProcess,
-                plan_cache,
-                result_cache,
-                observers,
-            )
-            .label(format!("coverage {}@{}", gs.suite.donor_name(), engine.name()))
-            .host(engine)
-            .provision(provision)
-            .build()
-            .expect("suite is always set")
-            .run();
-            // Live workers carry coverage on their engines; cache hits
-            // carry it in the rehydrated recorder. Their union equals a
-            // fully-live run's (coverage is a monotone hit set).
-            for conn in &connectors {
-                cov.union_with(conn.engine().coverage());
+    engines
+        .into_iter()
+        .map(|engine| {
+            let mut original = Coverage::new();
+            let mut unified = Coverage::new();
+            for (cell, coverage) in matrix.iter().zip(cell_coverage) {
+                if cell.host != engine {
+                    continue;
+                }
+                if donor_dialect(cell.suite) == engine {
+                    original.union_with(coverage);
+                }
+                unified.union_with(coverage);
             }
-            cov.union_with(&replayed_coverage);
-        };
-
-        // Original: the engine's own suite only.
-        let own = executed.iter().find(|gs| donor_dialect(gs.suite) == engine).expect("own suite");
-        let mut original = Coverage::new();
-        run_and_merge(own, &mut original);
-
-        // SQuaLity: the union of all three suites.
-        let mut unified = Coverage::new();
-        for gs in executed {
-            run_and_merge(gs, &mut unified);
-        }
-        rows.push(CoverageRow {
-            engine,
-            original_line: original.line_ratio(),
-            original_branch: original.branch_ratio(),
-            squality_line: unified.line_ratio(),
-            squality_branch: unified.branch_ratio(),
-        });
-    }
-    rows
+            CoverageRow {
+                engine,
+                original_line: original.line_ratio(),
+                original_branch: original.branch_ratio(),
+                squality_line: unified.line_ratio(),
+                squality_branch: unified.branch_ratio(),
+            }
+        })
+        .collect()
 }
 
 /// Table 5: classify a 100-case sample of a donor run's failures.

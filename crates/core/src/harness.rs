@@ -15,7 +15,7 @@
 
 use crate::cache::{CachedFileRun, CellSpec, FileKey, ResultCache};
 use crate::stability::StabilityConfig;
-use crate::transplant::{summarize, Provision, RunConfig, SuiteRunSummary};
+use crate::transplant::{summarize, Provision, SuiteRunSummary};
 use squality_backend::{
     discover_worker_bin, BackendFaultBreakdown, BackendSpec, SubprocessConnector,
     SubprocessConnectorFactory,
@@ -28,9 +28,10 @@ use squality_engine::{
 use squality_formats::{file_content_hash, SuiteKind, TestFile};
 use squality_runner::{
     emit_suite_finished, replay_file_events, Connector, EngineConnector, EngineConnectorFactory,
-    FanoutObserver, FileRunRecord, NumericMode, RunEvent, RunObserver, Runner, RunnerOptions,
-    TranslationCounts, TranslationMode,
+    FanoutObserver, NumericMode, RunEvent, RunObserver, Runner, RunnerOptions, TranslationCounts,
+    TranslationMode,
 };
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// What a harness executes: a generated donor suite (with its recorded
@@ -334,20 +335,16 @@ pub struct Harness<'a> {
     label: String,
 }
 
-/// Everything one [`Harness::run`] produces: the aggregate summary plus
-/// the retired worker connections (whose engines carry accumulated
-/// coverage and other run-scoped state).
+/// Everything one [`Harness::run`] produces: the aggregate summary, the
+/// engine coverage the run reached, and the backend's fault counters.
 pub struct Run {
     /// Aggregate result of the run, in input order.
     pub summary: SuiteRunSummary,
-    /// The retired worker connections — one per worker that claimed at
-    /// least one file. A fully-cached run retires none.
-    pub connectors: Vec<EngineConnector>,
-    /// Coverage rehydrated from cache hits (empty unless a result cache
-    /// replayed files). The union of this recorder with the retired
-    /// connectors' coverage equals a cold run's connector coverage, so
-    /// coverage experiments read both.
-    pub replayed_coverage: Coverage,
+    /// The union of every file's engine coverage, whether the file ran
+    /// live or was replayed from the result cache (Table 8 reads it). A
+    /// subprocess run asks each worker process for its coverage; a worker
+    /// that died contributes only what its restarted successor reached.
+    pub coverage: Coverage,
     /// Backend fault counters (crashes, timeouts, restarts) when the run
     /// executed on [`BackendSpec::Subprocess`]; `None` in-process.
     pub backend_faults: Option<BackendFaultBreakdown>,
@@ -388,18 +385,6 @@ impl<'a> Harness<'a> {
     /// The run label used in suite events.
     pub fn label(&self) -> &str {
         &self.label
-    }
-
-    /// The equivalent legacy [`RunConfig`] (what the deprecated free
-    /// functions used to take).
-    pub fn run_config(&self) -> RunConfig {
-        RunConfig {
-            host: self.host,
-            client: self.client,
-            provision: self.provision,
-            numeric: self.numeric,
-            translate: self.translate,
-        }
     }
 
     fn translation_mode(&self) -> TranslationMode {
@@ -489,7 +474,7 @@ impl<'a> Harness<'a> {
     pub fn run(&self) -> Run {
         let mut run = if matches!(self.backend, BackendSpec::Subprocess { .. }) {
             // Subprocess runs are never cached: their point is observing
-            // live process faults, and coverage stays worker-side.
+            // live process faults.
             self.run_subprocess()
         } else if self.stability.is_some() {
             // Stability runs are never cached either (satellite of the
@@ -592,12 +577,8 @@ impl<'a> Harness<'a> {
         };
         let mut summary = summarize(self.source.kind(), self.host, &execution.results);
         summary.translation = runner.translation_stats.counts();
-        Run {
-            summary,
-            connectors: Vec::new(),
-            replayed_coverage: Coverage::new(),
-            backend_faults: Some(stats.snapshot()),
-        }
+        let coverage = union_all(execution.connectors.into_iter().map(|mut conn| conn.coverage()));
+        Run { summary, coverage, backend_faults: Some(stats.snapshot()) }
     }
 
     fn run_uncached(&self) -> Run {
@@ -613,12 +594,13 @@ impl<'a> Harness<'a> {
         };
         let mut summary = summarize(self.source.kind(), self.host, &execution.results);
         summary.translation = runner.translation_stats.counts();
-        Run {
-            summary,
-            connectors: execution.connectors,
-            replayed_coverage: Coverage::new(),
-            backend_faults: None,
-        }
+        let coverage = union_all(
+            execution
+                .connectors
+                .into_iter()
+                .map(|mut conn| std::mem::take(conn.engine_mut().coverage_mut())),
+        );
+        Run { summary, coverage, backend_faults: None }
     }
 
     /// The cache-aware execution path: replay hits, execute only stale
@@ -663,12 +645,9 @@ impl<'a> Harness<'a> {
             }
         }
 
-        let (records, connectors) = if stale.is_empty() {
-            (Vec::new(), Vec::new())
-        } else {
-            let runner = self.runner();
-            let captured: Mutex<Vec<(usize, Coverage)>> = Mutex::new(Vec::new());
-            let (records, connectors) = runner.run_files_recorded(
+        if !stale.is_empty() {
+            let captured: Mutex<BTreeMap<usize, Coverage>> = Mutex::default();
+            let records = self.runner().run_files_recorded(
                 &factory,
                 &stale,
                 self.workers,
@@ -681,44 +660,32 @@ impl<'a> Harness<'a> {
                 },
                 |conn: &mut EngineConnector, index: usize| {
                     let window = conn.end_coverage_capture();
-                    captured.lock().expect("coverage capture poisoned").push((index, window));
+                    captured.lock().expect("coverage capture poisoned").insert(index, window);
                 },
                 observed.then_some(&fanout as &dyn RunObserver),
             );
-            let captured = captured.into_inner().expect("coverage capture poisoned");
-            for record in &records {
-                let coverage = captured
-                    .iter()
-                    .find(|(i, _)| *i == record.index)
-                    .map(|(_, c)| c.clone())
-                    .unwrap_or_default();
-                cache.store(
-                    &keys[record.index],
-                    &CachedFileRun {
-                        result: record.result.clone(),
-                        translation: record.translation,
-                        coverage,
-                    },
-                );
+            let mut captured = captured.into_inner().expect("coverage capture poisoned");
+            for record in records {
+                let run = CachedFileRun {
+                    coverage: captured.remove(&record.index).unwrap_or_default(),
+                    result: record.result,
+                    translation: record.translation,
+                };
+                cache.store(&keys[record.index], &run);
+                cached[record.index] = Some(run);
             }
-            (records, connectors)
-        };
+        }
 
-        let mut fresh: std::collections::BTreeMap<usize, FileRunRecord> =
-            records.into_iter().map(|r| (r.index, r)).collect();
+        // Every file now has an entry, replayed or fresh. The union of the
+        // per-file coverage windows equals a cold run's connector coverage.
         let mut results = Vec::with_capacity(files.len());
         let mut translation = TranslationCounts::default();
-        let mut replayed_coverage = Coverage::new();
-        for (i, entry) in cached.iter_mut().enumerate() {
-            if let Some(run) = entry.take() {
-                translation.merge(&run.translation);
-                replayed_coverage.union_with(&run.coverage);
-                results.push(run.result);
-            } else {
-                let record = fresh.remove(&i).expect("scheduler ran every stale file");
-                translation.merge(&record.translation);
-                results.push(record.result);
-            }
+        let mut coverage = Coverage::new();
+        for run in cached {
+            let run = run.expect("scheduler ran every stale file");
+            translation.merge(&run.translation);
+            coverage.union_with(&run.coverage);
+            results.push(run.result);
         }
         if observed {
             emit_suite_finished(
@@ -730,7 +697,7 @@ impl<'a> Harness<'a> {
         }
         let mut summary = summarize(self.source.kind(), self.host, &results);
         summary.translation = translation;
-        Run { summary, connectors, replayed_coverage, backend_faults: None }
+        Run { summary, coverage, backend_faults: None }
     }
 
     /// Execute sequentially on one existing, caller-owned connection —
@@ -776,6 +743,17 @@ impl<'a> Harness<'a> {
     }
 }
 
+/// The union of coverage recorders, moving the first rather than copying
+/// it into an empty one (most runs retire a single connection).
+fn union_all(parts: impl IntoIterator<Item = Coverage>) -> Coverage {
+    let mut parts = parts.into_iter();
+    let mut union = parts.next().unwrap_or_default();
+    for part in parts {
+        union.union_with(&part);
+    }
+    union
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -795,10 +773,18 @@ mod tests {
         let h = Harness::builder().suite(&gs).build().unwrap();
         assert_eq!(h.host(), EngineDialect::Postgres);
         assert_eq!(h.label(), "PostgreSQL→PostgreSQL");
-        let cfg = h.run_config();
-        assert_eq!(cfg.client, ClientKind::Connector);
-        assert_eq!(cfg.provision, Provision::CrossHost);
-        assert!(!cfg.translate);
+        let default = h.run();
+        let explicit = Harness::builder()
+            .suite(&gs)
+            .client(ClientKind::Connector)
+            .provision(Provision::CrossHost)
+            .build()
+            .unwrap()
+            .run();
+        assert_eq!(default.summary.passed, explicit.summary.passed);
+        assert_eq!(default.summary.failures, explicit.summary.failures);
+        assert_eq!(default.summary.skip_reasons, explicit.summary.skip_reasons);
+        assert_eq!(default.coverage, explicit.coverage);
     }
 
     #[test]

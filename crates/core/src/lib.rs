@@ -7,11 +7,11 @@
 //!   workers, plan cache, observers — all defaulted) and executes it
 //!   through the parallel scheduler with a typed, deterministic run-event
 //!   stream,
-//! * [`transplant`] — run configurations, summaries, and failure/skip
+//! * [`transplant`] — provision levels, summaries, and failure/skip
 //!   accounting for donor-suite transplants (§2),
 //! * [`experiments`] — the complete study: donor validation (RQ3),
-//!   the cross-DBMS matrix (RQ4), the coverage experiment, and the
-//!   crash/hang findings (§6),
+//!   the cross-DBMS matrix (RQ4) with Table 8's coverage harvested from
+//!   its verbatim cells, and the crash/hang findings (§6),
 //! * [`report`] — regenerate every table and figure of the evaluation with
 //!   the paper's published values alongside,
 //! * [`triage`] — signature clustering of every study failure into
@@ -95,5 +95,5 @@ pub use stability::{
     annotate_study, stability_report, BugVerdict, ClusterVerdict, StabilityConfig, StabilityReport,
 };
 pub use transplant::{
-    sample_failures, FailureCase, Incident, Provision, RunConfig, SkipBreakdown, SuiteRunSummary,
+    sample_failures, FailureCase, Incident, Provision, SkipBreakdown, SuiteRunSummary,
 };

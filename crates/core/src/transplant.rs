@@ -11,11 +11,9 @@
 //! | Expectation recording (corpus) | donor | `Full` | `Cli` |
 
 use squality_corpus::{donor_dialect, GeneratedSuite};
-use squality_engine::{ClientKind, EngineDialect, ErrorKind};
+use squality_engine::{EngineDialect, ErrorKind};
 use squality_formats::{RecordId, SuiteKind};
-use squality_runner::{
-    FileResult, NumericMode, Outcome, RecordResult, SkipReason, TranslationCounts,
-};
+use squality_runner::{FileResult, Outcome, RecordResult, SkipReason, TranslationCounts};
 
 /// How much of the donor environment the host receives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,51 +25,6 @@ pub enum Provision {
     CrossHost,
     /// Nothing — a fresh default installation (the paper's RQ3 situation).
     Bare,
-}
-
-/// One transplant configuration.
-///
-/// `#[non_exhaustive]`: future knobs can land without breaking callers.
-/// Outside this crate, start from [`RunConfig::default`] (or
-/// [`RunConfig::unified`]) and set fields — or skip the struct entirely
-/// and use [`Harness::builder`](crate::harness::Harness::builder), the
-/// primary API.
-#[derive(Debug, Clone, Copy)]
-#[non_exhaustive]
-pub struct RunConfig {
-    pub host: EngineDialect,
-    pub client: ClientKind,
-    pub provision: Provision,
-    pub numeric: NumericMode,
-    /// Adapt each statement from the donor dialect to the host dialect
-    /// before execution (the translated arm of the matrix). A donor running
-    /// on itself is unaffected: same-dialect translation is the identity.
-    pub translate: bool,
-}
-
-impl Default for RunConfig {
-    /// The unified-runner defaults on SQLite (the most permissive host).
-    fn default() -> Self {
-        RunConfig::unified(EngineDialect::Sqlite)
-    }
-}
-
-impl RunConfig {
-    /// The paper's unified-runner defaults for a host.
-    pub fn unified(host: EngineDialect) -> RunConfig {
-        RunConfig {
-            host,
-            client: ClientKind::Connector,
-            provision: Provision::CrossHost,
-            numeric: NumericMode::Exact,
-            translate: false,
-        }
-    }
-
-    /// Unified-runner defaults with statement translation enabled.
-    pub fn unified_translated(host: EngineDialect) -> RunConfig {
-        RunConfig { translate: true, ..RunConfig::unified(host) }
-    }
 }
 
 /// A crash or hang observed while running a suite (paper §6).
@@ -252,49 +205,28 @@ pub fn donor_of(suite: &GeneratedSuite) -> EngineDialect {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::Harness;
+    use crate::harness::{Harness, HarnessBuilder};
     use squality_corpus::generate_suite_scaled;
-    use squality_engine::PlanCache;
+    use squality_engine::{ClientKind, PlanCache};
     use squality_runner::EngineConnector;
     use std::sync::Arc;
 
-    /// Configure a [`Harness`] from a `RunConfig`.
-    fn harness_for<'a>(
-        suite: &'a GeneratedSuite,
-        cfg: &RunConfig,
-        workers: usize,
-        plan_cache: Option<Arc<PlanCache>>,
-    ) -> Harness<'a> {
-        let mut builder = Harness::builder()
-            .suite(suite)
-            .host(cfg.host)
-            .client(cfg.client)
-            .provision(cfg.provision)
-            .numeric(cfg.numeric)
-            .translate(cfg.translate)
-            .workers(workers);
-        if let Some(cache) = plan_cache {
-            builder = builder.plan_cache(cache);
-        }
-        builder.build().expect("suite is always set")
+    /// A builder for `suite` on `host` with the unified-runner defaults.
+    fn unified(suite: &GeneratedSuite, host: EngineDialect) -> HarnessBuilder<'_> {
+        Harness::builder().suite(suite).host(host)
     }
 
-    /// Single-worker builder run.
-    fn run_one(suite: &GeneratedSuite, cfg: &RunConfig) -> SuiteRunSummary {
-        harness_for(suite, cfg, 1, None).run().summary
+    /// Run a configured builder (one worker unless it says otherwise).
+    fn run_one(builder: HarnessBuilder<'_>) -> SuiteRunSummary {
+        builder.build().expect("suite is always set").run().summary
     }
 
     #[test]
     fn donor_full_provision_passes_everything() {
         let gs = generate_suite_scaled(SuiteKind::Slt, 3, 0.05);
-        let cfg = RunConfig {
-            host: EngineDialect::Sqlite,
-            client: ClientKind::Cli,
-            provision: Provision::Full,
-            numeric: NumericMode::Exact,
-            translate: false,
-        };
-        let s = run_one(&gs, &cfg);
+        let s = run_one(
+            unified(&gs, EngineDialect::Sqlite).client(ClientKind::Cli).provision(Provision::Full),
+        );
         // The only tolerated failures are SLT's two runner-format
         // artifacts (paper Table 4: 2 failures).
         assert_eq!(s.failed, 2, "failures: {:?}", s.failures.first());
@@ -306,14 +238,7 @@ mod tests {
     fn donor_bare_run_fails_on_dependencies() {
         // The RQ3 situation: PostgreSQL donor without its environment.
         let gs = generate_suite_scaled(SuiteKind::PgRegress, 3, 0.2);
-        let cfg = RunConfig {
-            host: EngineDialect::Postgres,
-            client: ClientKind::Connector,
-            provision: Provision::Bare,
-            numeric: NumericMode::Exact,
-            translate: false,
-        };
-        let s = run_one(&gs, &cfg);
+        let s = run_one(unified(&gs, EngineDialect::Postgres).provision(Provision::Bare));
         assert!(s.failed > 0, "bare environment must expose dependencies");
         assert!(s.success_rate() < 1.0);
     }
@@ -322,16 +247,11 @@ mod tests {
     fn cross_host_run_fails_more_than_donor() {
         let gs = generate_suite_scaled(SuiteKind::PgRegress, 3, 0.1);
         let donor = run_one(
-            &gs,
-            &RunConfig {
-                host: EngineDialect::Postgres,
-                client: ClientKind::Cli,
-                provision: Provision::Full,
-                numeric: NumericMode::Exact,
-                translate: false,
-            },
+            unified(&gs, EngineDialect::Postgres)
+                .client(ClientKind::Cli)
+                .provision(Provision::Full),
         );
-        let host = run_one(&gs, &RunConfig::unified(EngineDialect::Mysql));
+        let host = run_one(unified(&gs, EngineDialect::Mysql));
         assert!(host.success_rate() < donor.success_rate());
         assert!(host.failed > 0);
     }
@@ -339,12 +259,12 @@ mod tests {
     #[test]
     fn sharded_runs_match_sequential_at_any_worker_count() {
         let gs = generate_suite_scaled(SuiteKind::Duckdb, 11, 0.08);
-        let cfg = RunConfig::unified(EngineDialect::Sqlite);
-        let sequential = run_one(&gs, &cfg);
-        let cache = std::sync::Arc::new(PlanCache::new());
+        let sequential = run_one(unified(&gs, EngineDialect::Sqlite));
+        let cache = Arc::new(PlanCache::new());
         for workers in [2, 4, 8] {
-            let sharded =
-                harness_for(&gs, &cfg, workers, Some(std::sync::Arc::clone(&cache))).run().summary;
+            let sharded = run_one(
+                unified(&gs, EngineDialect::Sqlite).workers(workers).plan_cache(Arc::clone(&cache)),
+            );
             assert_eq!(sharded.total, sequential.total, "workers={workers}");
             assert_eq!(sharded.passed, sequential.passed, "workers={workers}");
             assert_eq!(sharded.failed, sequential.failed, "workers={workers}");
@@ -361,10 +281,10 @@ mod tests {
     #[test]
     fn caller_owned_connection_matches_the_scheduler_path() {
         let gs = generate_suite_scaled(SuiteKind::Duckdb, 5, 0.06);
-        let cfg = RunConfig::unified(EngineDialect::Sqlite);
-        let scheduled = harness_for(&gs, &cfg, 2, None).run().summary;
-        let mut conn = EngineConnector::new(cfg.host, cfg.client);
-        let sequential = harness_for(&gs, &cfg, 1, None).run_on(&mut conn);
+        let scheduled = run_one(unified(&gs, EngineDialect::Sqlite).workers(2));
+        let mut conn = EngineConnector::new(EngineDialect::Sqlite, ClientKind::Connector);
+        let sequential =
+            unified(&gs, EngineDialect::Sqlite).build().expect("suite is set").run_on(&mut conn);
         assert_eq!(sequential.total, scheduled.total);
         assert_eq!(sequential.passed, scheduled.passed);
         assert_eq!(sequential.failed, scheduled.failed);
@@ -380,7 +300,7 @@ mod tests {
         // SLT suites carry skipif/onlyif conditions, so a cross-host run
         // must surface at least the "condition excludes" reason.
         let gs = generate_suite_scaled(SuiteKind::Slt, 5, 0.05);
-        let s = run_one(&gs, &RunConfig::unified(EngineDialect::Mysql));
+        let s = run_one(unified(&gs, EngineDialect::Mysql));
         assert!(s.skipped > 0);
         let counted: usize = s.skip_reasons.iter().map(|b| b.count).sum();
         assert_eq!(counted, s.skipped, "{:?}", s.skip_reasons);
@@ -405,8 +325,8 @@ mod tests {
             (&duck, EngineDialect::Sqlite),
             (&duck, EngineDialect::Mysql),
         ] {
-            let verbatim = run_one(gs, &RunConfig::unified(host));
-            let translated = run_one(gs, &RunConfig::unified_translated(host));
+            let verbatim = run_one(unified(gs, host));
+            let translated = run_one(unified(gs, host).translate(true));
             let (v, t) = (verbatim.syntax_failures(), translated.syntax_failures());
             assert!(v > 0, "{:?} on {host}: no verbatim syntax failures to fix", gs.suite);
             assert!(t < v, "{:?} on {host}: syntax failures {v} -> {t}", gs.suite);
@@ -419,8 +339,8 @@ mod tests {
     fn translated_arm_on_donor_is_identity() {
         let gs = generate_suite_scaled(SuiteKind::PgRegress, 5, 0.08);
         let host = EngineDialect::Postgres;
-        let verbatim = run_one(&gs, &RunConfig::unified(host));
-        let translated = run_one(&gs, &RunConfig::unified_translated(host));
+        let verbatim = run_one(unified(&gs, host));
+        let translated = run_one(unified(&gs, host).translate(true));
         assert_eq!(translated.passed, verbatim.passed);
         assert_eq!(translated.failed, verbatim.failed);
         assert_eq!(translated.failures, verbatim.failures);

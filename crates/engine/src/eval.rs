@@ -732,7 +732,8 @@ fn divide(env: &QueryEnv<'_>, l: Value, r: Value) -> Result<Value, EngineError> 
     if let (Value::Integer(x), Value::Integer(y)) = (&l, &r) {
         if d.integer_division() {
             env.cov_branch("div:integer");
-            return Ok(Value::Integer(x / y));
+            // `i64::MIN / -1` is the one quotient that overflows.
+            return x.checked_div(*y).map(Value::Integer).ok_or_else(|| overflow_error(d));
         }
         env.cov_branch("div:decimal");
         return Ok(Value::Float(*x as f64 / *y as f64));
@@ -768,7 +769,9 @@ fn modulo(env: &QueryEnv<'_>, l: Value, r: Value) -> Result<Value, EngineError> 
                 _ => Ok(Value::Null),
             };
         }
-        return Ok(Value::Integer(a % b));
+        // `i64::MIN % -1` overflows in the machine op; the exact remainder
+        // is 0.
+        return Ok(Value::Integer(a.checked_rem(b).unwrap_or(0)));
     }
     let a = numeric_coerce(d, &l)?;
     let b = numeric_coerce(d, &r)?;

@@ -203,7 +203,8 @@ pub fn call_scalar(
             }
             match (args[0].as_i64(), args[1].as_i64()) {
                 (Some(_), Some(0)) => Value::Null,
-                (Some(a), Some(b)) => Value::Integer(a % b),
+                // `i64::MIN % -1` overflows; the exact remainder is 0.
+                (Some(a), Some(b)) => Value::Integer(a.checked_rem(b).unwrap_or(0)),
                 _ if args.iter().any(Value::is_null) => Value::Null,
                 _ => Value::Float(coerce_num(&args[0], d)? % coerce_num(&args[1], d)?),
             }

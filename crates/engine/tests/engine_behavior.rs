@@ -109,6 +109,35 @@ fn division_by_zero_dialects() {
     assert_eq!(d.execute("SELECT 1 / 0").unwrap_err().kind, ErrorKind::Arithmetic);
 }
 
+#[test]
+fn i64_min_by_minus_one_is_an_error_or_a_value_never_a_panic() {
+    const MIN: &str = "(-9223372036854775807 - 1)";
+    // `MIN / -1`: integer-division dialects overflow exactly as `*` does;
+    // the others divide in floating point. `%` and `mod()` are exactly 0.
+    let quotients = [
+        (EngineDialect::Sqlite, None),
+        (EngineDialect::Postgres, None),
+        (EngineDialect::Duckdb, Some(Value::Float(9_223_372_036_854_775_808.0))),
+        (EngineDialect::Mysql, Some(Value::Float(9_223_372_036_854_775_808.0))),
+    ];
+    for (d, quotient) in quotients {
+        let mut e = fresh(d);
+        let divided = e.execute(&format!("SELECT {MIN} / -1"));
+        match quotient {
+            Some(v) => assert_eq!(divided.unwrap().rows[0][0], v, "{d}"),
+            None => {
+                let err = divided.unwrap_err();
+                let overflow = e.execute("SELECT 9223372036854775807 * 2").unwrap_err();
+                assert_eq!(err.kind, ErrorKind::Arithmetic, "{d}");
+                assert_eq!(err.message, overflow.message, "{d}");
+            }
+        }
+        for sql in [format!("SELECT {MIN} % -1"), format!("SELECT mod({MIN}, -1)")] {
+            assert_eq!(one_value(&mut e, &sql), Value::Integer(0), "{d}: {sql}");
+        }
+    }
+}
+
 // ---- concat and MySQL pipes (§6) -----------------------------------------
 
 #[test]

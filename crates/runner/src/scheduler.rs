@@ -137,12 +137,11 @@ impl Runner {
         prepare: impl Fn(&mut F::Conn) + Sync,
         epilogue: impl Fn(&mut F::Conn, usize) + Sync,
         observer: Option<&dyn RunObserver>,
-    ) -> (Vec<FileRunRecord>, Vec<F::Conn>) {
+    ) -> Vec<FileRunRecord> {
         let workers = effective_workers(workers, files.len());
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<FileRunRecord>>> =
             files.iter().map(|_| Mutex::new(None)).collect();
-        let retired = Mutex::new(Vec::with_capacity(workers));
 
         std::thread::scope(|scope| {
             for _ in 0..workers {
@@ -191,20 +190,16 @@ impl Runner {
                         *slots[slot].lock().expect("record slot poisoned") =
                             Some(FileRunRecord { index, result, translation: stats.counts() });
                     }
-                    if let Some(conn) = conn {
-                        retired.lock().expect("retired list poisoned").push(conn);
-                    }
                 });
             }
         });
 
-        let records = slots
+        slots
             .into_iter()
             .map(|slot| {
                 slot.into_inner().expect("record slot poisoned").expect("scheduler ran every file")
             })
-            .collect();
-        (records, retired.into_inner().expect("retired list poisoned"))
+            .collect()
     }
 
     fn run_suite_inner<F: ConnectorFactory>(

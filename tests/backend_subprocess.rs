@@ -88,6 +88,33 @@ fn subprocess_run_matches_the_in_process_run() {
     assert_eq!(sub.summary.skip_reasons, inproc.summary.skip_reasons);
 }
 
+/// Table 8 reads each cell's coverage back from the workers: a clean
+/// subprocess run of a matrix diagonal cell (own suite, full environment,
+/// CLI client) must report exactly the in-process coverage.
+#[test]
+fn diagonal_cell_coverage_matches_across_the_process_boundary() {
+    let _guard = env_lock().lock().unwrap();
+    use squality::core::Provision;
+    use squality::engine::ClientKind;
+    let gs = generate_suite_scaled(SuiteKind::PgRegress, 13, 0.05);
+    let run_with = |backend: BackendSpec| {
+        Harness::builder()
+            .suite(&gs)
+            .client(ClientKind::Cli)
+            .provision(Provision::Full)
+            .workers(2)
+            .backend(backend)
+            .build()
+            .expect("suite configured")
+            .run()
+    };
+    let inproc = run_with(BackendSpec::InProcess);
+    let sub = run_with(subprocess_spec());
+    assert_eq!(sub.backend_faults.expect("subprocess counters").faults(), 0);
+    assert!(inproc.coverage.line_ratio() > 0.0);
+    assert_eq!(sub.coverage, inproc.coverage);
+}
+
 #[test]
 fn worker_crash_mid_suite_is_a_classified_failure_not_an_abort() {
     let _guard = env_lock().lock().unwrap();

@@ -1,7 +1,6 @@
 //! Event-stream determinism: the serialized JSONL run log (canonical
 //! per-file ordering, timing fields off) must be **byte-identical** at
-//! every worker count, and a `RunConfig` replayed through the builder
-//! must produce the same summaries as direct builder configuration.
+//! every worker count.
 
 use squality::core::{Harness, StudyConfig};
 use squality::corpus::generate_suite_scaled;
@@ -52,45 +51,9 @@ fn study_events_are_deterministic_across_worker_counts() {
         events.log()
     };
     let baseline = study_log(1);
-    // One suite_started per cell: 3 donor runs + 12 + 12 matrix cells +
-    // 12 coverage runs (3 engines × (1 own + 3 unified)).
-    assert_eq!(baseline.matches("\"event\":\"suite_started\"").count(), 3 + 12 + 12 + 12);
+    // One suite_started per cell: 3 donor runs + 12 verbatim + 12
+    // translated matrix cells (Table 8 reuses the verbatim cells).
+    assert_eq!(baseline.matches("\"event\":\"suite_started\"").count(), 3 + 12 + 12);
     assert!(baseline.contains("(translated)"));
     assert_eq!(study_log(3), baseline, "study event log changed with worker count");
-}
-
-#[test]
-fn run_config_replayed_through_the_builder_matches_direct_configuration() {
-    use squality::core::RunConfig;
-    let gs = generate_suite_scaled(SuiteKind::PgRegress, 7, 0.05);
-    let mut cfg = RunConfig::unified(EngineDialect::Sqlite);
-    cfg.translate = true;
-    let direct = Harness::builder()
-        .suite(&gs)
-        .host(EngineDialect::Sqlite)
-        .translate(true)
-        .build()
-        .expect("suite configured")
-        .run()
-        .summary;
-    // A RunConfig (as carried by triage probes and reports) must replay
-    // to the identical run when every knob is copied onto the builder.
-    let replayed = Harness::builder()
-        .suite(&gs)
-        .host(cfg.host)
-        .client(cfg.client)
-        .provision(cfg.provision)
-        .numeric(cfg.numeric)
-        .translate(cfg.translate)
-        .workers(3)
-        .build()
-        .expect("suite configured")
-        .run()
-        .summary;
-    assert_eq!(replayed.passed, direct.passed);
-    assert_eq!(replayed.failed, direct.failed);
-    assert_eq!(replayed.skipped, direct.skipped);
-    assert_eq!(replayed.failures, direct.failures);
-    assert_eq!(replayed.skip_reasons, direct.skip_reasons);
-    assert_eq!(replayed.translation, direct.translation);
 }
