@@ -210,12 +210,14 @@ impl<'a> QueryEnv<'a> {
         self.push_hit(false, point.into());
     }
 
-    /// Buffer a hit. Coverage is a set of flags, so consecutive repeats of
-    /// the same point (the common shape inside row loops) collapse to one
-    /// entry instead of growing the buffer per row.
+    /// Buffer a hit. Coverage is a set of flags, so each distinct point is
+    /// buffered at most once per statement: row loops and recursive-CTE
+    /// iterations repeat a handful of points, and the buffer must not grow
+    /// per row or per iteration. The scan runs newest first, so a
+    /// consecutive repeat, the common shape, costs one comparison.
     fn push_hit(&self, is_line: bool, point: Cow<'static, str>) {
         let mut hits = self.hits.borrow_mut();
-        if hits.last().map(|(l, p)| *l == is_line && *p == point).unwrap_or(false) {
+        if hits.iter().rev().any(|(l, p)| *l == is_line && *p == point) {
             return;
         }
         hits.push((is_line, point));
@@ -294,6 +296,25 @@ mod tests {
             .push(("x".to_string(), Relation::with_cols(vec![ColBinding::bare("n")])));
         assert!(env.cte("X").is_some());
         assert!(env.cte("y").is_none());
+    }
+
+    #[test]
+    fn alternating_hits_buffer_each_point_once() {
+        let (cat, cfg, faults, exts, fns) = env_fixture();
+        let env = QueryEnv::new(EngineDialect::Sqlite, &cat, &cfg, &faults, &exts, &fns, 100);
+        for i in 0..10_000 {
+            env.cov_branch(if i % 2 == 0 { "cmp:true" } else { "cmp:false" });
+        }
+        assert_eq!(env.hits.borrow().len(), 2);
+        // Owned (dynamically built) points compare by content, not address.
+        env.hits.borrow_mut().clear();
+        for i in 0..10_000 {
+            env.cov_line(format!("fn:{}", if i % 2 == 0 { "abs" } else { "round" }));
+        }
+        assert_eq!(env.hits.borrow().len(), 2);
+        // The same name is a distinct point as a line and as a branch.
+        env.cov_branch("fn:abs");
+        assert_eq!(env.hits.borrow().len(), 3);
     }
 
     #[test]

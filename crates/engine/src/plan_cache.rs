@@ -14,10 +14,17 @@
 //! as `&str` so a cache hit allocates nothing. Parse *errors* are cached
 //! too: suites deliberately contain invalid statements (`SELEC ...`) that
 //! loops replay just as often as valid ones.
+//!
+//! A plan is admitted on its text's *second* sighting. Most distinct texts
+//! are seen exactly once (substituted loop variables mint a fresh text per
+//! iteration), and a retained AST is the cache's whole memory cost, so the
+//! first miss only records the text's 64-bit hash in a per-shard "seen"
+//! set; the second miss stores the plan, and later lookups hit. The price
+//! is one extra parse per reused text.
 
 use squality_sqlast::{ast::Stmt, parse_statement, ParseError};
 use squality_sqltext::TextDialect;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -33,7 +40,20 @@ const SHARDS_PER_DIALECT: usize = 8;
 /// Bound: 5 dialects × 8 shards × 8192 entries.
 const MAX_ENTRIES_PER_SHARD: usize = 8192;
 
-type Shard = RwLock<HashMap<Box<str>, Result<Arc<Stmt>, ParseError>>>;
+/// Capacity bound of each shard's seen set. A full set is cleared, which
+/// forgets pending first sightings: each forgotten text costs one extra
+/// parse before it is admitted. Bound: 5 dialects × 8 shards × 8192
+/// hashes of 8 bytes.
+const MAX_SEEN_PER_SHARD: usize = 8192;
+
+#[derive(Debug, Default)]
+struct ShardState {
+    plans: HashMap<Box<str>, Result<Arc<Stmt>, ParseError>>,
+    /// Hashes of texts missed once and not yet admitted.
+    seen: HashSet<u64>,
+}
+
+type Shard = RwLock<ShardState>;
 
 /// A concurrent parse cache keyed by `(TextDialect, String)`.
 ///
@@ -51,8 +71,11 @@ pub struct PlanCache {
 pub struct PlanCacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that had to parse.
+    /// Lookups that had to parse, including each reused text's first
+    /// sighting, which is not admitted.
     pub misses: u64,
+    /// Plans retained when the snapshot was taken.
+    pub entries: u64,
 }
 
 impl PlanCacheStats {
@@ -78,44 +101,56 @@ impl PlanCache {
         Arc::new(PlanCache::new())
     }
 
-    fn shard(&self, dialect: TextDialect, sql: &str) -> &Shard {
+    /// The shard holding `sql` under `dialect`, and the text's hash.
+    fn shard(&self, dialect: TextDialect, sql: &str) -> (&Shard, u64) {
         let d = TextDialect::ALL
             .iter()
             .position(|x| *x == dialect)
             .expect("dialect registered in TextDialect::ALL");
         let mut h = std::collections::hash_map::DefaultHasher::new();
         sql.hash(&mut h);
-        &self.shards[d][(h.finish() as usize) & (SHARDS_PER_DIALECT - 1)]
+        let hash = h.finish();
+        (&self.shards[d][(hash as usize) & (SHARDS_PER_DIALECT - 1)], hash)
     }
 
     /// Parse `sql` under `dialect`, reusing a prior parse of the identical
     /// text when available. Hits allocate nothing.
     pub fn parse(&self, dialect: TextDialect, sql: &str) -> Result<Arc<Stmt>, ParseError> {
-        let shard = self.shard(dialect, sql);
-        if let Some(cached) = shard.read().expect("plan cache poisoned").get(sql) {
+        let (shard, hash) = self.shard(dialect, sql);
+        if let Some(cached) = shard.read().expect("plan cache poisoned").plans.get(sql) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return cached.clone();
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let parsed = parse_statement(sql, dialect).map(Arc::new);
-        let mut map = shard.write().expect("plan cache poisoned");
-        if map.len() < MAX_ENTRIES_PER_SHARD {
-            map.entry(Box::from(sql)).or_insert_with(|| parsed.clone());
+        let mut state = shard.write().expect("plan cache poisoned");
+        if !state.plans.contains_key(sql) {
+            if state.seen.remove(&hash) {
+                if state.plans.len() < MAX_ENTRIES_PER_SHARD {
+                    state.plans.insert(Box::from(sql), parsed.clone());
+                }
+            } else {
+                if state.seen.len() >= MAX_SEEN_PER_SHARD {
+                    state.seen.clear();
+                }
+                state.seen.insert(hash);
+            }
         }
         parsed
     }
 
-    /// Hit/miss counters.
+    /// Hit/miss counters and the number of retained plans.
     pub fn stats(&self) -> PlanCacheStats {
         PlanCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            entries: self.len() as u64,
         }
     }
 
     /// Cached entries across all shards.
     pub fn len(&self) -> usize {
-        self.all_shards().map(|s| s.read().expect("plan cache poisoned").len()).sum()
+        self.all_shards().map(|s| s.read().expect("plan cache poisoned").plans.len()).sum()
     }
 
     /// Is the cache empty?
@@ -123,10 +158,12 @@ impl PlanCache {
         self.len() == 0
     }
 
-    /// Drop all entries, keeping the counters.
+    /// Drop all entries and pending sightings, keeping the counters.
     pub fn clear(&self) {
         for shard in self.all_shards() {
-            shard.write().expect("plan cache poisoned").clear();
+            let mut state = shard.write().expect("plan cache poisoned");
+            state.plans.clear();
+            state.seen.clear();
         }
     }
 
@@ -142,10 +179,11 @@ mod tests {
     #[test]
     fn second_parse_hits() {
         let cache = PlanCache::new();
+        cache.parse(TextDialect::Sqlite, "SELECT 1 + 2").unwrap();
         let a = cache.parse(TextDialect::Sqlite, "SELECT 1 + 2").unwrap();
         let b = cache.parse(TextDialect::Sqlite, "SELECT 1 + 2").unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "hit must share the parsed statement");
-        assert_eq!(cache.stats(), PlanCacheStats { hits: 1, misses: 1 });
+        assert!(Arc::ptr_eq(&a, &b), "hit must share the admitted statement");
+        assert_eq!(cache.stats(), PlanCacheStats { hits: 1, misses: 2, entries: 1 });
     }
 
     #[test]
@@ -154,16 +192,19 @@ mod tests {
         // cache must keep both answers apart.
         let cache = PlanCache::new();
         let sql = "SELECT 62 DIV 2";
+        for _sighting in 0..2 {
+            assert!(cache.parse(TextDialect::Mysql, sql).is_ok());
+            assert!(cache.parse(TextDialect::Postgres, sql).is_err());
+        }
         assert!(cache.parse(TextDialect::Mysql, sql).is_ok());
-        assert!(cache.parse(TextDialect::Postgres, sql).is_err());
-        assert!(cache.parse(TextDialect::Mysql, sql).is_ok());
-        assert_eq!(cache.stats().misses, 2);
+        assert_eq!(cache.stats().misses, 4);
         assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]
     fn errors_are_cached() {
         let cache = PlanCache::new();
+        cache.parse(TextDialect::Sqlite, "SELEC garbage").unwrap_err();
         let e1 = cache.parse(TextDialect::Sqlite, "SELEC garbage").unwrap_err();
         let e2 = cache.parse(TextDialect::Sqlite, "SELEC garbage").unwrap_err();
         assert_eq!(e1, e2);
@@ -174,10 +215,40 @@ mod tests {
     fn clear_keeps_counters() {
         let cache = PlanCache::new();
         cache.parse(TextDialect::Sqlite, "SELECT 1").ok();
+        cache.parse(TextDialect::Sqlite, "SELECT 1").ok();
         assert_eq!(cache.len(), 1);
         cache.clear();
         assert!(cache.is_empty());
-        assert_eq!(cache.stats().misses, 1);
+        assert_eq!(cache.stats().misses, 2);
+        // Pending sightings are dropped too: the next lookup is a first one.
+        cache.parse(TextDialect::Sqlite, "SELECT 2").ok();
+        cache.clear();
+        cache.parse(TextDialect::Sqlite, "SELECT 2").ok();
+        assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn one_shot_texts_are_not_retained() {
+        let cache = PlanCache::new();
+        for i in 0..1000 {
+            cache.parse(TextDialect::Postgres, &format!("SELECT {i}")).unwrap();
+        }
+        assert_eq!(cache.len(), 0);
+        assert_eq!(cache.stats(), PlanCacheStats { hits: 0, misses: 1000, entries: 0 });
+    }
+
+    #[test]
+    fn seen_set_stays_bounded() {
+        let cache = PlanCache::new();
+        let bound = SHARDS_PER_DIALECT * MAX_SEEN_PER_SHARD;
+        for i in 0..bound + 500 {
+            cache.parse(TextDialect::Sqlite, &format!("SELECT {i}")).unwrap();
+        }
+        for shard in cache.all_shards() {
+            let seen = shard.read().unwrap().seen.len();
+            assert!(seen <= MAX_SEEN_PER_SHARD, "{seen} > {MAX_SEEN_PER_SHARD}");
+        }
+        assert!(cache.is_empty());
     }
 
     #[test]
@@ -196,7 +267,29 @@ mod tests {
         assert_eq!(cache.len(), 10);
         let stats = cache.stats();
         assert_eq!(stats.hits + stats.misses, 200);
-        assert!(stats.hits >= 200 - 4 * 10, "{stats:?}");
+        // Per text: at most one miss per thread before it is admitted, plus
+        // the second sighting of the thread whose miss was recorded first.
+        assert!(stats.hits >= 200 - (4 + 1) * 10, "{stats:?}");
+    }
+
+    #[test]
+    fn racing_second_sightings_admit_one_entry() {
+        let cache = PlanCache::new();
+        let sql = "SELECT 7 * 6";
+        cache.parse(TextDialect::Sqlite, sql).unwrap();
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    barrier.wait();
+                    cache.parse(TextDialect::Sqlite, sql).unwrap();
+                });
+            }
+        });
+        assert_eq!(cache.len(), 1);
+        let hits = cache.stats().hits;
+        cache.parse(TextDialect::Sqlite, sql).unwrap();
+        assert_eq!(cache.stats().hits, hits + 1);
     }
 
     #[test]
@@ -205,7 +298,9 @@ mod tests {
         // Overfill one dialect's shards; len must plateau at the bound.
         let bound = SHARDS_PER_DIALECT * MAX_ENTRIES_PER_SHARD;
         for i in 0..bound + 500 {
-            cache.parse(TextDialect::Sqlite, &format!("SELECT {i}")).unwrap();
+            let sql = format!("SELECT {i}");
+            cache.parse(TextDialect::Sqlite, &sql).unwrap();
+            cache.parse(TextDialect::Sqlite, &sql).unwrap();
         }
         assert!(cache.len() <= bound, "{} > {bound}", cache.len());
         // Entries admitted early still hit after the cache fills.
@@ -217,7 +312,7 @@ mod tests {
     #[test]
     fn hit_rate_ranges() {
         assert_eq!(PlanCacheStats::default().hit_rate(), 0.0);
-        let s = PlanCacheStats { hits: 3, misses: 1 };
+        let s = PlanCacheStats { hits: 3, misses: 1, entries: 0 };
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
     }
 }

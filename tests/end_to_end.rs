@@ -196,6 +196,9 @@ fn study_results_identical_across_worker_counts() {
     // The shared plan cache must absorb a meaningful share of the study's
     // parse work (suites replay across donor runs, the matrix, coverage).
     assert!(a.parse_cache.hit_rate() > 0.3, "{:?}", a.parse_cache);
+    // Texts are admitted on their second sighting, so the one-shot texts
+    // among the misses leave no plan behind.
+    assert!(a.parse_cache.entries < a.parse_cache.misses, "{:?}", a.parse_cache);
 }
 
 #[test]

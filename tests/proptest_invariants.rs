@@ -280,7 +280,8 @@ proptest! {
     /// Plan-cached execution is observationally identical to uncached
     /// execution: for any generated statement sequence (valid and garbage
     /// alike), a cache-sharing engine and a plain engine agree result for
-    /// result — and the second replay is answered from the cache.
+    /// result — and the third replay is answered from the cache, because
+    /// a text is admitted on its second sighting.
     #[test]
     fn plan_cached_execution_matches_uncached(
         stmts in prop::collection::vec(sql_statement_strategy(), 1..25)
@@ -290,15 +291,19 @@ proptest! {
             let mut cached = Engine::new(dialect);
             cached.set_plan_cache(Arc::clone(&cache));
             let mut plain = Engine::new(dialect);
-            for _pass in 0..2 {
+            let mut hits_before_pass3 = 0;
+            for pass in 0..3 {
+                if pass == 2 {
+                    hits_before_pass3 = cache.stats().hits;
+                }
                 for sql in &stmts {
                     let a = cached.execute(sql);
                     let b = plain.execute(sql);
                     prop_assert_eq!(a, b);
                 }
             }
-            // Pass 2 re-executes every statement text: all cache hits.
-            prop_assert!(cache.stats().hits >= stmts.len() as u64);
+            // Pass 3 re-executes every statement text: all cache hits.
+            prop_assert_eq!(cache.stats().hits - hits_before_pass3, stmts.len() as u64);
         }
     }
 }
