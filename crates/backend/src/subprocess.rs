@@ -26,7 +26,7 @@ use crate::protocol::{
 use squality_engine::{ClientKind, Coverage, EngineDialect, FaultProfile, QueryResult, Value};
 use squality_runner::{
     client_result_error, engine_info, engine_token, Connector, ConnectorError, ConnectorFactory,
-    ConnectorInfo, TransportError, TransportErrorKind,
+    ConnectorInfo, Provisioned, TransportError, TransportErrorKind,
 };
 use std::io::{BufReader, Write};
 use std::path::PathBuf;
@@ -122,8 +122,7 @@ struct SubprocessConfig {
     faults: FaultProfile,
     deadline: Duration,
     max_restarts: u32,
-    files: Vec<(String, Vec<String>)>,
-    extensions: Vec<String>,
+    provisioned: Provisioned,
     env: Vec<(String, String)>,
 }
 
@@ -149,8 +148,7 @@ impl SubprocessConnectorFactory {
                 faults: FaultProfile::default(),
                 deadline: DEFAULT_DEADLINE,
                 max_restarts: DEFAULT_MAX_RESTARTS,
-                files: Vec::new(),
-                extensions: Vec::new(),
+                provisioned: Provisioned::default(),
                 env: Vec::new(),
             },
             stats: Arc::new(BackendStats::default()),
@@ -177,13 +175,13 @@ impl SubprocessConnectorFactory {
 
     /// Every minted connection sees this data file (survives resets).
     pub fn provide_file(mut self, path: &str, lines: Vec<String>) -> Self {
-        self.config.files.push((path.to_string(), lines));
+        self.config.provisioned.file(path, lines);
         self
     }
 
     /// Every minted connection has this extension loaded.
     pub fn provide_extension(mut self, name: &str) -> Self {
-        self.config.extensions.push(name.to_string());
+        self.config.provisioned.extension(name);
         self
     }
 
@@ -306,7 +304,7 @@ impl SubprocessConnector {
             let _ =
                 Self::roundtrip(worker, self.config.deadline, &encode_file_request(path, &lines));
         }
-        self.config.files.push((path.to_string(), lines));
+        self.config.provisioned.file(path, lines);
     }
 
     /// Register an available extension, surviving resets and restarts.
@@ -314,7 +312,7 @@ impl SubprocessConnector {
         if let Some(worker) = self.worker.as_mut() {
             let _ = Self::roundtrip(worker, self.config.deadline, &encode_ext_request(name));
         }
-        self.config.extensions.push(name.to_string());
+        self.config.provisioned.extension(name);
     }
 
     /// The engine coverage the worker process has accumulated (a `COV`
@@ -398,7 +396,7 @@ impl SubprocessConnector {
                 return Err(format!("bad handshake: {other:?}"));
             }
         }
-        for (path, lines) in &self.config.files {
+        for (path, lines) in self.config.provisioned.files() {
             let response = Self::roundtrip(
                 &mut worker,
                 self.config.deadline,
@@ -410,7 +408,7 @@ impl SubprocessConnector {
                 return Err(format!("file provisioning rejected for {path}"));
             }
         }
-        for ext in &self.config.extensions {
+        for ext in self.config.provisioned.extensions() {
             let response =
                 Self::roundtrip(&mut worker, self.config.deadline, &encode_ext_request(ext))
                     .map_err(Fault::message)?;
@@ -569,7 +567,7 @@ impl Connector for SubprocessConnector {
         // list is part of the factory configuration, and `&self` permits
         // no wire round-trip.
         let name = name.to_lowercase();
-        self.config.extensions.iter().any(|e| e.to_lowercase() == name)
+        self.config.provisioned.extensions().any(|e| e.to_lowercase() == name)
     }
 }
 

@@ -46,13 +46,14 @@ use squality_bugstore::{BugArm, BugEntry, BugStore};
 use squality_corpus::{donor_dialect, DonorEnvironment};
 use squality_engine::{ClientKind, EngineDialect, PlanCache, ENGINE_SEMANTICS_VERSION};
 use squality_formats::{
-    parse_slt, slice, write_duckdb, ControlCommand, RecordId, RecordKind, SltFlavor, SuiteKind,
-    TestFile, TestRecord,
+    parse_slt, write_duckdb, ControlCommand, RecordId, RecordKind, SliceIndex, SliceKey, SltFlavor,
+    SuiteKind, TestFile, TestRecord,
 };
 use squality_runner::{EngineConnector, FailureSignature, Outcome, RunObserver, TaxonomyContext};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Which execution arm of the study a failure came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -323,16 +324,18 @@ impl TriageReport {
 /// Cluster every failure of a finished study by signature. Returns the
 /// raw failure total and the clusters, largest first (ties keep study
 /// execution order).
-pub fn cluster_failures(study: &Study) -> (usize, Vec<FailureCluster>) {
+pub fn cluster_failures<'s>(study: &'s Study) -> (usize, Vec<FailureCluster>) {
     let mut clusters: Vec<FailureCluster> = Vec::new();
-    let mut index: HashMap<FailureSignature, usize> = HashMap::new();
+    // Keyed by the study's own signatures: a failure costs a hash and a
+    // lookup, and only the first of each cluster is cloned.
+    let mut index: HashMap<&FailureSignature, usize> = HashMap::new();
     let mut total = 0usize;
 
-    let mut absorb = |cell: CellRef, summary: &SuiteRunSummary| {
+    let mut absorb = |cell: CellRef, summary: &'s SuiteRunSummary| {
         for case in &summary.failures {
             let Outcome::Fail(info) = &case.result.outcome else { continue };
             total += 1;
-            let at = *index.entry(info.signature.clone()).or_insert_with(|| {
+            let at = *index.entry(&info.signature).or_insert_with(|| {
                 clusters.push(FailureCluster {
                     signature: info.signature.clone(),
                     count: 0,
@@ -360,10 +363,8 @@ pub fn cluster_failures(study: &Study) -> (usize, Vec<FailureCluster>) {
         absorb(CellRef { suite: cell.suite, host: cell.host, arm: Arm::Translated }, &cell.summary);
     }
 
-    // Largest first; the insertion index breaks ties deterministically.
-    let mut order: Vec<usize> = (0..clusters.len()).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(clusters[i].count), i));
-    let clusters = order.into_iter().map(|i| clusters[i].clone()).collect();
+    // Largest first; the stable sort keeps study execution order on ties.
+    clusters.sort_by_key(|c| std::cmp::Reverse(c.count));
     (total, clusters)
 }
 
@@ -405,40 +406,41 @@ pub fn triage_study_with_observers(
     }
 
     let started = std::time::Instant::now();
-    let plan_cache = PlanCache::shared();
     let workers = effective_workers(config.workers, report.clusters.len());
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<Reduction>>> =
         report.clusters.iter().map(|_| Mutex::new(None)).collect();
-    // Serializes the observed verification runs (see the rustdoc above).
-    let observer_gate = Mutex::new(());
     let clusters = &report.clusters;
+    let run = TriageRun {
+        study,
+        config,
+        plan_cache: PlanCache::shared(),
+        observers,
+        observer_gate: Mutex::new(()),
+        indexes: clusters.iter().map(|c| (index_key(&c.exemplar), OnceLock::new())).collect(),
+    };
     let (added, reused, refreshed) =
         (AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0));
 
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(cluster) = clusters.get(i) else { break };
+        let (reduction, action) = run.process_cluster(cluster, i);
+        match action {
+            Some(StoreAction::Added) => added.fetch_add(1, Ordering::Relaxed),
+            Some(StoreAction::Reused) => reused.fetch_add(1, Ordering::Relaxed),
+            Some(StoreAction::Refreshed) => refreshed.fetch_add(1, Ordering::Relaxed),
+            None => 0,
+        };
+        *slots[i].lock().expect("reduction slot poisoned") = reduction;
+    };
+    // The calling thread is one of the workers, as in the scheduler: a
+    // triage spawns one thread fewer, and a single-worker triage none.
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(cluster) = clusters.get(i) else { break };
-                let (reduction, action) = process_cluster(
-                    study,
-                    cluster,
-                    i,
-                    config,
-                    &plan_cache,
-                    observers,
-                    &observer_gate,
-                );
-                match action {
-                    Some(StoreAction::Added) => added.fetch_add(1, Ordering::Relaxed),
-                    Some(StoreAction::Reused) => reused.fetch_add(1, Ordering::Relaxed),
-                    Some(StoreAction::Refreshed) => refreshed.fetch_add(1, Ordering::Relaxed),
-                    None => 0,
-                };
-                *slots[i].lock().expect("reduction slot poisoned") = reduction;
-            });
+        for _ in 1..workers {
+            scope.spawn(work);
         }
+        work();
     });
 
     for slot in slots {
@@ -461,122 +463,201 @@ pub fn triage_study_with_observers(
     report
 }
 
-/// What [`process_cluster`] did against the bug store.
+/// What [`TriageRun::process_cluster`] did against the bug store.
 enum StoreAction {
     Added,
     Reused,
     Refreshed,
 }
 
-/// Reduce one cluster, consulting the bug store first when one is
-/// configured: a stored signature at the current semantics version is
-/// reused verbatim (zero probes, tombstones produce no reduction row), a
-/// stale entry is re-verified with one probe (falling back to full
-/// minimization when its repro no longer fails), and a miss runs the
-/// full [`reduce_cluster`] path and persists the result.
-fn process_cluster(
-    study: &Study,
-    cluster: &FailureCluster,
-    cluster_index: usize,
-    config: &TriageConfig,
-    plan_cache: &Arc<PlanCache>,
-    observers: &[&dyn RunObserver],
-    observer_gate: &Mutex<()>,
-) -> (Option<Reduction>, Option<StoreAction>) {
-    let Some(store) = &config.store else {
-        let reduction = reduce_cluster(
-            study,
-            cluster,
-            cluster_index,
-            config,
-            plan_cache,
-            observers,
-            observer_gate,
-        );
-        return (reduction, None);
-    };
+/// The study file a cluster's exemplar points into.
+fn exemplar_file<'s>(study: &'s Study, exemplar: &Exemplar) -> Option<&'s TestFile> {
+    study.suite(exemplar.cell.suite).files.iter().find(|f| f.name == exemplar.file)
+}
 
-    let fingerprint = study.config.fingerprint();
-    let exemplar = &cluster.exemplar;
-    let gs = study.suite(exemplar.cell.suite);
-    let file = gs.files.iter().find(|f| f.name == exemplar.file);
-    let stability = cluster.signature.stability.clone();
+fn index_key(exemplar: &Exemplar) -> (SuiteKind, &str) {
+    (exemplar.cell.suite, exemplar.file.as_str())
+}
 
-    if let Some(mut entry) = store.lookup(&cluster.signature) {
-        if entry.semantics_version == ENGINE_SEMANTICS_VERSION {
-            // Current entry: answer from the store with zero probes. Only
-            // rewrite it when the observation actually moved.
-            if entry.last_seen != fingerprint || entry.stability != stability {
-                entry.last_seen = fingerprint;
-                entry.stability = stability;
-                store.upsert(&entry);
-            }
-            let reduction = (!entry.repro_text.is_empty()).then(|| Reduction {
-                cluster: cluster_index,
-                file: exemplar.file.clone(),
-                original_records: file.map_or(entry.records_before, |f| f.record_count()),
-                reduced_records: entry.records_after,
-                probes: 0,
-                repro_name: entry.repro_name.clone(),
-                repro_text: entry.repro_text.clone(),
-                verified: entry.reproduced,
-            });
-            return (reduction, Some(StoreAction::Reused));
-        }
-        // Stale semantics version: one probe decides whether the stored
-        // repro still fails. If it does, refresh the entry in place;
-        // otherwise fall through to full re-minimization below.
-        if !entry.repro_text.is_empty() {
-            if let Some(file) = file {
-                let env = &gs.environment;
-                let probe = Prober {
-                    kind: exemplar.cell.suite,
-                    cell: exemplar.cell,
-                    env,
-                    signature: &cluster.signature,
-                    plan_cache,
-                    backend: &config.backend,
-                };
-                let mut reparsed =
-                    parse_slt(&entry.repro_name, &entry.repro_text, SltFlavor::Duckdb);
-                reparsed.suite = exemplar.cell.suite;
-                if probe.fails_with_signature(&reparsed, &[]) {
-                    entry.semantics_version = ENGINE_SEMANTICS_VERSION;
-                    entry.last_seen = fingerprint;
-                    entry.stability = stability;
-                    entry.reproduced = true;
-                    store.upsert(&entry);
-                    let reduction = Reduction {
-                        cluster: cluster_index,
-                        file: exemplar.file.clone(),
-                        original_records: file.record_count(),
-                        reduced_records: entry.records_after,
-                        probes: 1,
-                        repro_name: entry.repro_name,
-                        repro_text: entry.repro_text,
-                        verified: true,
-                    };
-                    return (Some(reduction), Some(StoreAction::Refreshed));
-                }
-            }
-        }
-        let reduction = reduce_cluster(
-            study,
-            cluster,
-            cluster_index,
-            config,
-            plan_cache,
-            observers,
-            observer_gate,
-        );
-        store_entry(store, study, cluster, reduction.as_ref(), file, &fingerprint);
-        return (reduction, Some(StoreAction::Refreshed));
+/// What every cluster's reduction shares within one triage run.
+struct TriageRun<'s> {
+    study: &'s Study,
+    config: &'s TriageConfig,
+    /// Replayed statement texts parse once across all probes.
+    plan_cache: Arc<PlanCache>,
+    observers: &'s [&'s dyn RunObserver],
+    /// Serializes the observed verification runs (see
+    /// [`triage_study_with_observers`]).
+    observer_gate: Mutex<()>,
+    /// One slice index per exemplar file, built by the first cluster that
+    /// reduces the file and shared with the rest. Clusters answered from
+    /// the bug store build none.
+    indexes: HashMap<(SuiteKind, &'s str), OnceLock<SliceIndex<'s>>>,
+}
+
+impl<'s> TriageRun<'s> {
+    fn index(&self, exemplar: &'s Exemplar, file: &'s TestFile) -> &SliceIndex<'s> {
+        self.indexes[&index_key(exemplar)].get_or_init(|| SliceIndex::new(file))
     }
 
-    let reduction =
-        reduce_cluster(study, cluster, cluster_index, config, plan_cache, observers, observer_gate);
-    store_entry(store, study, cluster, reduction.as_ref(), file, &fingerprint);
-    (reduction, Some(StoreAction::Added))
+    fn prober(&self, cluster: &FailureCluster) -> Prober<'_> {
+        let env = &self.study.suite(cluster.exemplar.cell.suite).environment;
+        Prober::new(
+            cluster.exemplar.cell,
+            env,
+            &cluster.signature,
+            &self.plan_cache,
+            &self.config.backend,
+        )
+    }
+
+    /// Reduce one cluster, consulting the bug store first when one is
+    /// configured: a stored signature at the current semantics version is
+    /// reused verbatim (zero probes, tombstones produce no reduction row), a
+    /// stale entry is re-verified with one probe (falling back to full
+    /// minimization when its repro no longer fails), and a miss runs the
+    /// full [`reduce_cluster`](TriageRun::reduce_cluster) path and persists
+    /// the result.
+    fn process_cluster(
+        &self,
+        cluster: &'s FailureCluster,
+        cluster_index: usize,
+    ) -> (Option<Reduction>, Option<StoreAction>) {
+        let Some(store) = &self.config.store else {
+            return (self.reduce_cluster(cluster, cluster_index), None);
+        };
+
+        let study = self.study;
+        let fingerprint = study.config.fingerprint();
+        let exemplar = &cluster.exemplar;
+        let file = exemplar_file(study, exemplar);
+        let stability = cluster.signature.stability.clone();
+
+        if let Some(mut entry) = store.lookup(&cluster.signature) {
+            if entry.semantics_version == ENGINE_SEMANTICS_VERSION {
+                // Current entry: answer from the store with zero probes.
+                // Only rewrite it when the observation actually moved.
+                if entry.last_seen != fingerprint || entry.stability != stability {
+                    entry.last_seen = fingerprint;
+                    entry.stability = stability;
+                    store.upsert(&entry);
+                }
+                let reduction = (!entry.repro_text.is_empty()).then(|| Reduction {
+                    cluster: cluster_index,
+                    file: exemplar.file.clone(),
+                    original_records: file.map_or(entry.records_before, |f| f.record_count()),
+                    reduced_records: entry.records_after,
+                    probes: 0,
+                    repro_name: entry.repro_name.clone(),
+                    repro_text: entry.repro_text.clone(),
+                    verified: entry.reproduced,
+                });
+                return (reduction, Some(StoreAction::Reused));
+            }
+            // Stale semantics version: one probe decides whether the stored
+            // repro still fails. If it does, refresh the entry in place;
+            // otherwise fall through to full re-minimization below.
+            if !entry.repro_text.is_empty() {
+                if let Some(file) = file {
+                    let mut reparsed =
+                        parse_slt(&entry.repro_name, &entry.repro_text, SltFlavor::Duckdb);
+                    reparsed.suite = exemplar.cell.suite;
+                    if self.prober(cluster).fails_with_signature(&reparsed, &[]) {
+                        entry.semantics_version = ENGINE_SEMANTICS_VERSION;
+                        entry.last_seen = fingerprint;
+                        entry.stability = stability;
+                        entry.reproduced = true;
+                        store.upsert(&entry);
+                        let reduction = Reduction {
+                            cluster: cluster_index,
+                            file: exemplar.file.clone(),
+                            original_records: file.record_count(),
+                            reduced_records: entry.records_after,
+                            probes: 1,
+                            repro_name: entry.repro_name,
+                            repro_text: entry.repro_text,
+                            verified: true,
+                        };
+                        return (Some(reduction), Some(StoreAction::Refreshed));
+                    }
+                }
+            }
+            let reduction = self.reduce_cluster(cluster, cluster_index);
+            store_entry(store, study, cluster, reduction.as_ref(), file, &fingerprint);
+            return (reduction, Some(StoreAction::Refreshed));
+        }
+
+        let reduction = self.reduce_cluster(cluster, cluster_index);
+        store_entry(store, study, cluster, reduction.as_ref(), file, &fingerprint);
+        (reduction, Some(StoreAction::Added))
+    }
+
+    /// Reduce one cluster's exemplar file to a minimal slice still failing
+    /// with the cluster signature. Returns `None` when the exemplar file is
+    /// gone from the suite (cannot happen for a study's own clusters) or
+    /// the full file no longer reproduces the signature under the replayed
+    /// cell configuration (a state-dependent failure the slicer cannot
+    /// close over — left unreduced rather than misreported).
+    fn reduce_cluster(
+        &self,
+        cluster: &'s FailureCluster,
+        cluster_index: usize,
+    ) -> Option<Reduction> {
+        let exemplar = &cluster.exemplar;
+        let file = exemplar_file(self.study, exemplar)?;
+        let mut probe = SliceProbe::new(
+            self.index(exemplar, file),
+            exemplar.id.line as usize,
+            self.prober(cluster),
+        );
+
+        // The whole file must reproduce the signature before ddmin can
+        // trust a "probe fails ⇒ subset insufficient" reading.
+        let mut probes = 1usize;
+        let candidates = probe.candidates();
+        if !probe.fails(&candidates) {
+            return None;
+        }
+
+        let max_probes = self.config.max_probes;
+        let mut budget = max_probes.saturating_sub(probes);
+        let kept = ddmin(&candidates, &mut |subset| probe.fails(subset), &mut budget);
+        probes += max_probes.saturating_sub(probes) - budget;
+
+        let minimized = probe.slice(&kept);
+        let repro_name = format!(
+            "cluster-{:03}-{}.test",
+            cluster_index,
+            cluster.class_label().to_lowercase().replace(' ', "-")
+        );
+        let repro_text = write_duckdb(&minimized);
+
+        // Standalone verification: parse the emitted text back and re-run
+        // it under the cell's configuration, never from the memo. This is
+        // the one observed run per cluster; the gate keeps concurrent
+        // clusters' event streams from interleaving inside
+        // per-suite-buffering observers.
+        probes += 1;
+        let mut reparsed = parse_slt(&repro_name, &repro_text, SltFlavor::Duckdb);
+        reparsed.suite = exemplar.cell.suite;
+        let verified = if self.observers.is_empty() {
+            probe.prober.fails_with_signature(&reparsed, &[])
+        } else {
+            let _serialized = self.observer_gate.lock().expect("observer gate poisoned");
+            probe.prober.fails_with_signature(&reparsed, self.observers)
+        };
+
+        Some(Reduction {
+            cluster: cluster_index,
+            file: exemplar.file.clone(),
+            original_records: file.record_count(),
+            reduced_records: minimized.record_count(),
+            probes,
+            repro_name,
+            repro_text,
+            verified,
+        })
+    }
 }
 
 /// Persist one cluster's reduction outcome. A `None` reduction writes a
@@ -665,112 +746,45 @@ pub(crate) fn effective_workers(requested: usize, jobs: usize) -> usize {
     requested.clamp(1, jobs.max(1))
 }
 
-/// Reduce one cluster's exemplar file to a minimal slice still failing
-/// with the cluster signature. Returns `None` when the exemplar file is
-/// gone from the suite (cannot happen for a study's own clusters) or the
-/// full file no longer reproduces the signature under the replayed cell
-/// configuration (a state-dependent failure the slicer cannot close
-/// over — left unreduced rather than misreported).
-fn reduce_cluster(
-    study: &Study,
-    cluster: &FailureCluster,
-    cluster_index: usize,
-    config: &TriageConfig,
-    plan_cache: &Arc<PlanCache>,
-    observers: &[&dyn RunObserver],
-    observer_gate: &Mutex<()>,
-) -> Option<Reduction> {
-    let exemplar = &cluster.exemplar;
-    let gs = study.suite(exemplar.cell.suite);
-    let file = gs.files.iter().find(|f| f.name == exemplar.file)?;
-    let env = &gs.environment;
-    let probe = Prober {
-        kind: exemplar.cell.suite,
-        cell: exemplar.cell,
-        env,
-        signature: &cluster.signature,
-        plan_cache,
-        backend: &config.backend,
-    };
-
-    let mut probes = 0usize;
-    let exemplar_line = exemplar.id.line as usize;
-    let candidates: Vec<usize> =
-        statement_lines(&file.records).into_iter().filter(|l| *l != exemplar_line).collect();
-
-    // The whole file must reproduce the signature before ddmin can trust
-    // a "probe fails ⇒ subset insufficient" reading.
-    probes += 1;
-    if !probe.fails_with_signature(&probe.slice_of(file, exemplar_line, &candidates), &[]) {
-        return None;
-    }
-
-    let mut budget = config.max_probes.saturating_sub(probes);
-    let kept = ddmin(
-        &candidates,
-        &mut |subset| probe.fails_with_signature(&probe.slice_of(file, exemplar_line, subset), &[]),
-        &mut budget,
-    );
-    probes += config.max_probes.saturating_sub(probes) - budget;
-
-    let minimized = probe.slice_of(file, exemplar_line, &kept);
-    let repro_name = format!(
-        "cluster-{:03}-{}.test",
-        cluster_index,
-        cluster.class_label().to_lowercase().replace(' ', "-")
-    );
-    let repro_text = write_duckdb(&minimized);
-
-    // Standalone verification: parse the emitted text back and re-run it
-    // under the cell's configuration. This is the one observed run per
-    // cluster; the gate keeps concurrent clusters' event streams from
-    // interleaving inside per-suite-buffering observers.
-    probes += 1;
-    let mut reparsed = parse_slt(&repro_name, &repro_text, SltFlavor::Duckdb);
-    reparsed.suite = exemplar.cell.suite;
-    let verified = if observers.is_empty() {
-        probe.fails_with_signature(&reparsed, observers)
-    } else {
-        let _serialized = observer_gate.lock().expect("observer gate poisoned");
-        probe.fails_with_signature(&reparsed, observers)
-    };
-
-    Some(Reduction {
-        cluster: cluster_index,
-        file: exemplar.file.clone(),
-        original_records: file.record_count(),
-        reduced_records: minimized.record_count(),
-        probes,
-        repro_name,
-        repro_text,
-        verified,
-    })
-}
-
 /// One cluster's probe environment: enough to execute any record slice
 /// under the exemplar cell's configuration and ask "does it still fail
 /// with the target signature?".
 struct Prober<'a> {
-    kind: SuiteKind,
     cell: CellRef,
     env: &'a DonorEnvironment,
-    signature: &'a FailureSignature,
+    /// The cluster signature without its stability verdict: probe failures
+    /// are always pre-annotation (`stability: None`), while a cluster
+    /// signature from a stability-arm study carries its verdict.
+    want: FailureSignature,
     plan_cache: &'a Arc<PlanCache>,
     backend: &'a BackendSpec,
+    /// The in-process connection every probe reuses, opened by the first;
+    /// `Harness::run_on` resets it before each file.
+    conn: Option<EngineConnector>,
 }
 
-impl Prober<'_> {
-    fn slice_of(&self, file: &TestFile, exemplar_line: usize, extra: &[usize]) -> TestFile {
-        let mut keep: Vec<RecordId> = extra.iter().map(|l| RecordId::new(*l, 0)).collect();
-        keep.push(RecordId::new(exemplar_line, 0));
-        slice(file, &keep)
+impl<'a> Prober<'a> {
+    fn new(
+        cell: CellRef,
+        env: &'a DonorEnvironment,
+        signature: &FailureSignature,
+        plan_cache: &'a Arc<PlanCache>,
+        backend: &'a BackendSpec,
+    ) -> Prober<'a> {
+        let mut want = signature.clone();
+        want.stability = None;
+        Prober { cell, env, want, plan_cache, backend, conn: None }
     }
 
-    fn fails_with_signature(&self, candidate: &TestFile, observers: &[&dyn RunObserver]) -> bool {
+    fn fails_with_signature(
+        &mut self,
+        candidate: &TestFile,
+        observers: &[&dyn RunObserver],
+    ) -> bool {
         let (client, provision, translate) = self.cell.exec();
         let files = std::slice::from_ref(candidate);
         let mut builder = Harness::builder()
-            .files(self.kind, files)
+            .files(self.cell.suite, files)
             .environment(self.env)
             .host(self.cell.host)
             .client(client)
@@ -786,22 +800,67 @@ impl Prober<'_> {
             // reproduce across the process boundary too.
             harness.run().summary
         } else {
-            // One connection per probe batch, sharing the triage-wide plan
-            // cache: replayed statement texts parse once across all probes.
-            let mut conn = EngineConnector::new(self.cell.host, client);
-            conn.set_plan_cache(Arc::clone(self.plan_cache));
-            harness.run_on(&mut conn)
+            let plan_cache = self.plan_cache;
+            let conn = self.conn.get_or_insert_with(|| {
+                let mut conn = EngineConnector::new(self.cell.host, client);
+                conn.set_plan_cache(Arc::clone(plan_cache));
+                conn
+            });
+            harness.run_on(conn)
         };
-        // Compare modulo the stability field: probe failures are always
-        // pre-annotation (`stability: None`), while a cluster signature
-        // from a stability-arm study carries its verdict.
-        let mut want = self.signature.clone();
-        want.stability = None;
         summary.failures.iter().any(|f| match &f.result.outcome {
-            Outcome::Fail(info) => info.signature == want,
+            Outcome::Fail(info) => info.signature == self.want,
             _ => false,
         })
     }
+}
+
+/// ddmin's probe over one exemplar file: slice the file to a candidate
+/// subset plus the exemplar, and run the slice unless an identical one
+/// already ran for this cluster.
+struct SliceProbe<'i, 'a> {
+    index: &'i SliceIndex<'i>,
+    exemplar_line: usize,
+    prober: Prober<'a>,
+    /// Outcome of every slice this cluster has executed. The engine is
+    /// deterministic, so a repeated slice is answered here; it still
+    /// counts as a probe.
+    memo: HashMap<SliceKey, bool>,
+}
+
+impl<'i, 'a> SliceProbe<'i, 'a> {
+    fn new(index: &'i SliceIndex<'i>, exemplar_line: usize, prober: Prober<'a>) -> Self {
+        SliceProbe { index, exemplar_line, prober, memo: HashMap::new() }
+    }
+
+    /// Every statement/query line of the file except the exemplar's.
+    fn candidates(&self) -> Vec<usize> {
+        let lines = statement_lines(&self.index.file().records);
+        lines.into_iter().filter(|l| *l != self.exemplar_line).collect()
+    }
+
+    fn key(&self, extra: &[usize]) -> SliceKey {
+        self.index.closure(extra.iter().copied().chain([self.exemplar_line]))
+    }
+
+    fn slice(&self, extra: &[usize]) -> TestFile {
+        self.index.extract(&self.key(extra))
+    }
+
+    fn fails(&mut self, extra: &[usize]) -> bool {
+        let key = self.key(extra);
+        let (index, prober) = (self.index, &mut self.prober);
+        memoized(&mut self.memo, key, |key| prober.fails_with_signature(&index.extract(key), &[]))
+    }
+}
+
+/// `run(key)` the first time `key` is seen; its recorded outcome after.
+fn memoized<K: Hash + Eq>(
+    memo: &mut HashMap<K, bool>,
+    key: K,
+    run: impl FnOnce(&K) -> bool,
+) -> bool {
+    *memo.entry(key).or_insert_with_key(run)
 }
 
 /// Source lines of every statement/query record, loop bodies included.
@@ -920,23 +979,15 @@ pub fn reduce_file(
     let signature = info.signature.clone();
     let exemplar_line = target.id.line as usize;
 
-    let probe = Prober {
-        kind,
-        cell,
-        env: &env,
-        signature: &signature,
-        plan_cache: &plan_cache,
-        backend: &BackendSpec::InProcess,
-    };
-    let candidates: Vec<usize> =
-        statement_lines(&file.records).into_iter().filter(|l| *l != exemplar_line).collect();
+    let index = SliceIndex::new(file);
+    let mut prober = Prober::new(cell, &env, &signature, &plan_cache, &BackendSpec::InProcess);
+    // The bare run's connection is exactly what the probes need.
+    prober.conn = Some(conn);
+    let mut probe = SliceProbe::new(&index, exemplar_line, prober);
+    let candidates = probe.candidates();
     let mut budget = max_probes;
-    let kept = ddmin(
-        &candidates,
-        &mut |subset| probe.fails_with_signature(&probe.slice_of(file, exemplar_line, subset), &[]),
-        &mut budget,
-    );
-    let reduced = probe.slice_of(file, exemplar_line, &kept);
+    let kept = ddmin(&candidates, &mut |subset| probe.fails(subset), &mut budget);
+    let reduced = probe.slice(&kept);
     Some(FileReduction {
         probes: max_probes - budget,
         original_records: file.record_count(),
@@ -1184,6 +1235,106 @@ mod tests {
         let kept = ddmin(&candidates, &mut |_| true, &mut budget);
         assert!(kept.is_empty());
         assert_eq!(budget, 7);
+    }
+
+    #[test]
+    fn memoized_ddmin_skips_repeated_slices_without_changing_the_result() {
+        // A slice keeps whole pairs: keeping either line of {2k, 2k+1}
+        // pulls in both, so different subsets often run the same slice.
+        let key = |subset: &[usize]| subset.iter().map(|c| c / 2).collect::<Vec<_>>();
+        let fails = |slice: &Vec<usize>| slice.contains(&3) && slice.contains(&9);
+        let candidates: Vec<usize> = (0..32).collect();
+
+        let mut plain_budget = 256;
+        let plain = ddmin(&candidates, &mut |s| fails(&key(s)), &mut plain_budget);
+
+        let (mut memo, mut executions) = (HashMap::new(), 0usize);
+        let mut budget = 256;
+        let kept = ddmin(
+            &candidates,
+            &mut |s| {
+                memoized(&mut memo, key(s), |slice| {
+                    executions += 1;
+                    fails(slice)
+                })
+            },
+            &mut budget,
+        );
+        let probes = 256 - budget;
+        assert_eq!(kept, plain);
+        assert_eq!(budget, plain_budget, "a memo hit still counts as a probe");
+        assert!(executions < probes, "{executions} executions for {probes} probes");
+    }
+
+    #[test]
+    fn reductions_match_fresh_connection_probes_without_a_memo() {
+        // The reference reducer: a new connection for every probe and
+        // every slice executed, as before connections were reused and
+        // slices memoized.
+        let s = study();
+        let config = TriageConfig::default().with_reduce(true).with_workers(2).with_max_probes(48);
+        let report = triage_study(&s, &config);
+        let plan_cache = PlanCache::shared();
+        let (mut compared, mut varied) = (0, 0);
+        for r in &report.reductions {
+            let cluster = &report.clusters[r.cluster];
+            let exemplar = &cluster.exemplar;
+            let file = exemplar_file(&s, exemplar).expect("exemplar file");
+            let env = &s.suite(exemplar.cell.suite).environment;
+            let line = exemplar.id.line as usize;
+            let sliced = |subset: &[usize]| {
+                let keep: Vec<RecordId> =
+                    subset.iter().chain([&line]).map(|l| RecordId::new(*l, 0)).collect();
+                squality_formats::slice(file, &keep)
+            };
+            let fresh = |candidate: &TestFile| {
+                Prober::new(exemplar.cell, env, &cluster.signature, &plan_cache, &config.backend)
+                    .fails_with_signature(candidate, &[])
+            };
+            let candidates: Vec<usize> =
+                statement_lines(&file.records).into_iter().filter(|l| *l != line).collect();
+            assert!(fresh(&sliced(&candidates)), "{}", r.repro_name);
+            let mut budget = config.max_probes - 1;
+            let kept = ddmin(&candidates, &mut |subset| fresh(&sliced(subset)), &mut budget);
+            assert_eq!(r.probes, config.max_probes - budget + 1, "{}", r.repro_name);
+            assert_eq!(r.repro_text, write_duckdb(&sliced(&kept)), "{}", r.repro_name);
+
+            compared += 1;
+            if fresh(&sliced(&[])) {
+                continue; // the exemplar fails alone: every probe passes
+            }
+
+            // ddmin stops early on most clusters, so also drive the
+            // production probe (shared index, one connection, memo) on a
+            // cluster whose outcome depends on the kept records, through
+            // pseudo-random subsets, every third one a repeat.
+            let index = SliceIndex::new(file);
+            let prober =
+                Prober::new(exemplar.cell, env, &cluster.signature, &plan_cache, &config.backend);
+            let mut probe = SliceProbe::new(&index, line, prober);
+            let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ r.cluster as u64;
+            let mut asked: Vec<Vec<usize>> = Vec::new();
+            let mut outcomes = [0usize; 2];
+            for step in 0..36 {
+                let subset = if step % 3 == 2 {
+                    asked[step / 2].clone()
+                } else {
+                    state =
+                        state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    let bits = state >> 11;
+                    let pick = |(i, _): &(usize, &usize)| bits >> (i % 53) & 1 == 1;
+                    candidates.iter().enumerate().filter(pick).map(|(_, l)| *l).collect()
+                };
+                let fails = probe.fails(&subset);
+                assert_eq!(fails, fresh(&sliced(&subset)), "{} keeping {subset:?}", r.repro_name);
+                outcomes[usize::from(fails)] += 1;
+                asked.push(subset);
+            }
+            assert!(probe.memo.len() < asked.len(), "{}: no memo hit", r.repro_name);
+            assert!(outcomes[0] > 0 && outcomes[1] > 0, "{}: {outcomes:?}", r.repro_name);
+            varied += 1;
+        }
+        assert!(compared > 0 && varied > 0, "{compared} reductions, {varied} varied");
     }
 
     #[test]

@@ -108,6 +108,18 @@ impl Engine {
     pub fn with_faults(dialect: EngineDialect, faults: FaultProfile) -> Engine {
         let mut coverage = Coverage::new();
         register_coverage_universe(&mut coverage, dialect);
+        Engine::with_coverage(dialect, faults, coverage)
+    }
+
+    /// New engine that keeps accumulating into `coverage`, the recorder of
+    /// an engine of the same dialect this one replaces (a connection
+    /// reset). The coverage universe is not registered again: `coverage`
+    /// already holds it.
+    pub fn with_coverage(
+        dialect: EngineDialect,
+        faults: FaultProfile,
+        coverage: Coverage,
+    ) -> Engine {
         let mut extensions = BTreeSet::new();
         if dialect == EngineDialect::Sqlite {
             // The CLI bundles the series extension (paper Listing 16).

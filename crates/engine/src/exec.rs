@@ -254,15 +254,25 @@ fn run_select_core(
         ));
     }
 
-    // FROM: fold the table list into one relation via cross products.
-    let mut source = Relation {
-        cols: Vec::new(),
-        rows: vec![Vec::new()], // one empty row so FROM-less SELECT yields 1 row
-    };
+    // FROM: fold the table list into one relation via cross products. The
+    // first relation is taken as is: crossing it with the one-empty-row
+    // seed would copy every row, so only the seed's per-row steps are
+    // charged.
+    let mut source: Option<Relation> = None;
     for tref in &core.from {
         let rel = relation_of(tref, env, outer)?;
-        source = cross_product(env, source, rel)?;
+        source = Some(match source {
+            None => {
+                for _ in &rel.rows {
+                    env.tick(1)?;
+                }
+                rel
+            }
+            Some(left) => cross_product(env, left, rel)?,
+        });
     }
+    // One empty row, so a FROM-less SELECT yields 1 row.
+    let mut source = source.unwrap_or(Relation { cols: Vec::new(), rows: vec![Vec::new()] });
 
     // WHERE. Rows move (not clone) from the source into the filtered set;
     // one binder serves every per-row evaluation of the predicate.

@@ -804,3 +804,36 @@ fn distinct_and_order_with_limit() {
     let got: Vec<i64> = r.rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
     assert_eq!(got, vec![3, 2]);
 }
+
+#[test]
+fn from_clause_step_charges_are_unchanged() {
+    // The smallest step budget each query completes under, as measured
+    // when the FROM fold still crossed every scan with a one-empty-row
+    // seed. The fold charges one step per row of the first relation
+    // either way, and a budget one below the threshold trips the same
+    // hang error.
+    for (sql, threshold) in [
+        ("SELECT a FROM t", 42),
+        ("SELECT a FROM t WHERE a > 4", 72),
+        ("SELECT count(*) FROM t, t AS u", 135),
+        ("SELECT 1", 3),
+    ] {
+        let budget_run = |budget: u64| {
+            let mut e = fresh(EngineDialect::Sqlite);
+            e.execute("CREATE TABLE t(a INTEGER)").unwrap();
+            e.execute("INSERT INTO t VALUES (0), (1), (2), (3), (4), (5), (6), (7), (8), (9)")
+                .unwrap();
+            e.set_step_budget(budget);
+            e.execute(sql)
+        };
+        let least = (0..1000).find(|&b| budget_run(b).is_ok()).expect("completes under 1000");
+        assert_eq!(least, threshold, "{sql}");
+        let err = budget_run(threshold - 1).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::Hang, "{sql}");
+        assert_eq!(
+            err.message,
+            format!("statement exceeded execution budget ({} steps): likely hang", threshold - 1),
+            "{sql}"
+        );
+    }
+}

@@ -31,6 +31,6 @@ pub use ir::{
 };
 pub use mysqltest::{parse_mysql_test, parse_mysql_test_only};
 pub use pgreg::{parse_pg_regress, parse_pg_sql_only};
-pub use slice::slice;
+pub use slice::{slice, SliceIndex, SliceKey};
 pub use slt::{parse_slt, SltFlavor};
 pub use writer::{write_duckdb, write_mysql_test, write_pg_regress, write_slt};

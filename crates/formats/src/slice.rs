@@ -9,9 +9,18 @@
 //! parse, just token-level name extraction — so every slice is a
 //! self-contained, runnable test file that round-trips through the
 //! existing writers.
+//!
+//! A reducer slices the same file hundreds of times, so the scan runs
+//! once: a [`SliceIndex`] records each record's defined names, used names
+//! and variable references as interned integer ids, and every slice is a
+//! fixpoint over those integers. [`SliceIndex::closure`] returns the
+//! slice's membership as a [`SliceKey`] before any record is cloned; equal
+//! keys mean byte-identical slices, which is what lets a reducer skip a
+//! probe it has already run. [`slice()`] is the one-shot form: build the
+//! index, then slice.
 
 use crate::ir::{ControlCommand, RecordId, RecordKind, StatementExpect, TestFile, TestRecord};
-use std::collections::BTreeSet;
+use std::collections::HashMap;
 
 /// Slice `file` down to the records whose source lines appear in `keep`,
 /// plus the setup dependencies they need to run:
@@ -31,181 +40,291 @@ use std::collections::BTreeSet;
 /// `halt` records are never added by the closure (a kept failure was
 /// necessarily executed, so no `halt` preceded it).
 pub fn slice(file: &TestFile, keep: &[RecordId]) -> TestFile {
-    let keep_lines: BTreeSet<usize> = keep.iter().map(|id| id.line as usize).collect();
+    SliceIndex::new(file).slice(keep)
+}
 
-    // Pass 1: seed the use-set with the names and variables referenced by
-    // the kept records (wherever they nest).
-    let mut used = NameSet::default();
-    collect_uses(&file.records, &keep_lines, &mut used);
+/// The def-use facts of one file, computed once and shared by every slice
+/// taken from it.
+///
+/// Table-ish words and variable names are interned into two separate id
+/// spaces, and every distinct source line gets a dense slot, so growing a
+/// closure touches only integers.
+#[derive(Debug)]
+pub struct SliceIndex<'a> {
+    file: &'a TestFile,
+    /// Every record in pre-order: a loop header precedes its body.
+    records: Vec<Indexed>,
+    /// Dense slot of each distinct source line.
+    slots: HashMap<usize, u32>,
+    names: usize,
+    vars: usize,
+}
 
-    // Pass 2: grow the closure backwards to a fixpoint. A setup record
-    // that touches a used table joins the slice and contributes its own
-    // references (CREATE TABLE t AS SELECT * FROM s pulls in s's setup).
-    loop {
-        let mut grew = false;
-        grow_closure(&file.records, &keep_lines, &mut used, &mut grew);
-        if !grew {
-            break;
-        }
+#[derive(Debug)]
+struct Indexed {
+    slot: u32,
+    role: Role,
+}
+
+#[derive(Debug)]
+enum Role {
+    /// A statement or query: the words and variables it references, and
+    /// the names it defines when it is an `ok` setup statement (empty
+    /// otherwise, so it never joins a closure on its own).
+    Sql { uses: Vec<u32>, vars: Vec<u32>, defines: Vec<u32> },
+    /// A `set` control, by variable id.
+    SetVar(u32),
+    /// Anything else; the closure never adds it.
+    Other,
+}
+
+/// Which records a slice keeps, as a bitset over a [`SliceIndex`]'s line
+/// slots. Two keys from the same index are equal exactly when the slices
+/// they [`extract`](SliceIndex::extract) to keep the same source lines.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct SliceKey(Vec<u64>);
+
+impl SliceKey {
+    fn empty(slots: usize) -> SliceKey {
+        SliceKey(vec![0; slots.div_ceil(64)])
     }
 
-    TestFile {
-        name: file.name.clone(),
-        suite: file.suite,
-        records: filter_records(&file.records, &keep_lines, &used),
+    fn contains(&self, slot: u32) -> bool {
+        self.0[slot as usize / 64] & (1 << (slot % 64)) != 0
+    }
+
+    /// Set a slot's bit; true when it was clear.
+    fn insert(&mut self, slot: u32) -> bool {
+        let (word, bit) = (slot as usize / 64, 1u64 << (slot % 64));
+        let fresh = self.0[word] & bit == 0;
+        self.0[word] |= bit;
+        fresh
     }
 }
 
-/// Lowercased table names and `var:`-prefixed variable names.
+/// Assigns consecutive ids to strings in first-seen order.
 #[derive(Default)]
-struct NameSet(BTreeSet<String>);
+struct Interner(HashMap<String, u32>);
 
-impl NameSet {
-    fn add_tables_of(&mut self, sql: &str) {
-        for w in identifier_words(sql) {
-            self.0.insert(w);
+impl Interner {
+    fn id(&mut self, s: String) -> u32 {
+        let next = self.0.len() as u32;
+        *self.0.entry(s).or_insert(next)
+    }
+}
+
+impl<'a> SliceIndex<'a> {
+    /// Scan `file` once: split and lowercase every statement's words,
+    /// extract its defined names and variable references, and intern them.
+    pub fn new(file: &'a TestFile) -> SliceIndex<'a> {
+        struct Builder {
+            records: Vec<Indexed>,
+            slots: HashMap<usize, u32>,
+            names: Interner,
+            vars: Interner,
         }
-    }
-    fn add_vars_of(&mut self, sql: &str) {
-        for v in variable_refs(sql) {
-            self.0.insert(format!("var:{v}"));
-        }
-    }
-    fn uses_any(&self, names: &[String]) -> bool {
-        names.iter().any(|n| self.0.contains(n))
-    }
-}
-
-fn collect_uses(records: &[TestRecord], keep_lines: &BTreeSet<usize>, used: &mut NameSet) {
-    for rec in records {
-        match &rec.kind {
-            RecordKind::Statement { sql, .. } | RecordKind::Query { sql, .. } => {
-                if keep_lines.contains(&rec.line) {
-                    used.add_tables_of(sql);
-                    used.add_vars_of(sql);
-                }
-            }
-            RecordKind::Control(ControlCommand::Loop { body, .. })
-            | RecordKind::Control(ControlCommand::Foreach { body, .. }) => {
-                collect_uses(body, keep_lines, used);
-            }
-            RecordKind::Control(_) => {}
-        }
-    }
-}
-
-fn grow_closure(
-    records: &[TestRecord],
-    keep_lines: &BTreeSet<usize>,
-    used: &mut NameSet,
-    grew: &mut bool,
-) {
-    for rec in records {
-        match &rec.kind {
-            RecordKind::Statement { sql, expect } => {
-                if keep_lines.contains(&rec.line) || !matches!(expect, StatementExpect::Ok) {
-                    continue; // already in, or an expected-error probe (no state effect)
-                }
-                let touched = defined_names(sql);
-                if !touched.is_empty() && used.uses_any(&touched) {
-                    used.add_tables_of(sql);
-                    used.add_vars_of(sql);
-                    mark(rec.line, used, grew);
-                }
-            }
-            RecordKind::Control(ControlCommand::SetVar { name, .. })
-                if !keep_lines.contains(&rec.line)
-                    && used.0.contains(&format!("var:{}", name.to_lowercase())) =>
-            {
-                mark(rec.line, used, grew);
-            }
-            RecordKind::Control(ControlCommand::Loop { body, .. })
-            | RecordKind::Control(ControlCommand::Foreach { body, .. }) => {
-                grow_closure(body, keep_lines, used, grew);
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Closure membership is tracked inside the shared name set (as
-/// `line:<n>` sentinels) so the fixpoint loop needs no extra state.
-fn mark(line: usize, used: &mut NameSet, grew: &mut bool) {
-    if used.0.insert(format!("line:{line}")) {
-        *grew = true;
-    }
-}
-
-fn in_slice(rec: &TestRecord, keep_lines: &BTreeSet<usize>, used: &NameSet) -> bool {
-    keep_lines.contains(&rec.line) || used.0.contains(&format!("line:{}", rec.line))
-}
-
-fn filter_records(
-    records: &[TestRecord],
-    keep_lines: &BTreeSet<usize>,
-    used: &NameSet,
-) -> Vec<TestRecord> {
-    let mut out = Vec::new();
-    for rec in records {
-        match &rec.kind {
-            RecordKind::Statement { .. } | RecordKind::Query { .. } => {
-                if in_slice(rec, keep_lines, used) {
-                    out.push(rec.clone());
-                }
-            }
-            RecordKind::Control(cmd) => match cmd {
-                ControlCommand::Loop { var, start, end, body } => {
-                    let kept_body = filter_records(body, keep_lines, used);
-                    if !kept_body.is_empty() {
-                        out.push(TestRecord {
-                            conditions: rec.conditions.clone(),
-                            kind: RecordKind::Control(ControlCommand::Loop {
-                                var: var.clone(),
-                                start: *start,
-                                end: *end,
-                                body: kept_body,
-                            }),
-                            line: rec.line,
-                        });
+        impl Builder {
+            fn walk(&mut self, records: &[TestRecord]) {
+                for rec in records {
+                    let next = self.slots.len() as u32;
+                    let slot = *self.slots.entry(rec.line).or_insert(next);
+                    let role = match &rec.kind {
+                        RecordKind::Statement { sql, .. } | RecordKind::Query { sql, .. } => {
+                            let uses = words_of(sql).map(|w| self.names.id(w)).collect();
+                            let vars =
+                                variable_refs(sql).into_iter().map(|v| self.vars.id(v)).collect();
+                            let defines = match &rec.kind {
+                                RecordKind::Statement { expect: StatementExpect::Ok, .. } => {
+                                    defined_names(sql)
+                                        .into_iter()
+                                        .map(|n| self.names.id(n))
+                                        .collect()
+                                }
+                                _ => Vec::new(),
+                            };
+                            Role::Sql { uses, vars, defines }
+                        }
+                        RecordKind::Control(ControlCommand::SetVar { name, .. }) => {
+                            Role::SetVar(self.vars.id(name.to_lowercase()))
+                        }
+                        _ => Role::Other,
+                    };
+                    self.records.push(Indexed { slot, role });
+                    if let RecordKind::Control(
+                        ControlCommand::Loop { body, .. } | ControlCommand::Foreach { body, .. },
+                    ) = &rec.kind
+                    {
+                        self.walk(body);
                     }
                 }
-                ControlCommand::Foreach { var, values, body } => {
-                    let kept_body = filter_records(body, keep_lines, used);
-                    if !kept_body.is_empty() {
-                        out.push(TestRecord {
-                            conditions: rec.conditions.clone(),
-                            kind: RecordKind::Control(ControlCommand::Foreach {
-                                var: var.clone(),
-                                values: values.clone(),
-                                body: kept_body,
-                            }),
-                            line: rec.line,
-                        });
+            }
+        }
+        let mut builder = Builder {
+            records: Vec::new(),
+            slots: HashMap::new(),
+            names: Interner::default(),
+            vars: Interner::default(),
+        };
+        builder.walk(&file.records);
+        SliceIndex {
+            file,
+            records: builder.records,
+            slots: builder.slots,
+            names: builder.names.0.len(),
+            vars: builder.vars.0.len(),
+        }
+    }
+
+    /// The file this index describes.
+    pub fn file(&self) -> &'a TestFile {
+        self.file
+    }
+
+    /// The records a slice keeping the source lines `keep` contains: the
+    /// kept records plus their setup closure (see [`slice()`]). Lines that
+    /// name no record are ignored.
+    pub fn closure(&self, keep: impl IntoIterator<Item = usize>) -> SliceKey {
+        let mut kept = SliceKey::empty(self.slots.len());
+        for line in keep {
+            if let Some(&slot) = self.slots.get(&line) {
+                kept.insert(slot);
+            }
+        }
+
+        // Seed the use sets with what the kept records reference.
+        let mut used = vec![false; self.names];
+        let mut used_vars = vec![false; self.vars];
+        let add =
+            |ids: &[u32], set: &mut [bool]| ids.iter().for_each(|&id| set[id as usize] = true);
+        for rec in &self.records {
+            if let Role::Sql { uses, vars, .. } = &rec.role {
+                if kept.contains(rec.slot) {
+                    add(uses, &mut used);
+                    add(vars, &mut used_vars);
+                }
+            }
+        }
+
+        // Grow the closure in record order until a pass adds no line. A
+        // setup record that defines a used name joins the slice and
+        // contributes its own references (CREATE TABLE t AS SELECT * FROM
+        // s pulls in s's setup).
+        let mut member = kept.clone();
+        loop {
+            let mut grew = false;
+            for rec in &self.records {
+                if kept.contains(rec.slot) {
+                    continue;
+                }
+                match &rec.role {
+                    Role::Sql { uses, vars, defines }
+                        if defines.iter().any(|&n| used[n as usize]) =>
+                    {
+                        add(uses, &mut used);
+                        add(vars, &mut used_vars);
+                        grew |= member.insert(rec.slot);
                     }
+                    Role::SetVar(var) if used_vars[*var as usize] => {
+                        grew |= member.insert(rec.slot);
+                    }
+                    _ => {}
                 }
-                // Execution-context controls are cheap and change how later
-                // records run; keep them whenever anything follows.
-                ControlCommand::HashThreshold(_) | ControlCommand::Mode(_) => {
-                    out.push(rec.clone());
-                }
-                _ => {
-                    if in_slice(rec, keep_lines, used) {
+            }
+            if !grew {
+                return member;
+            }
+        }
+    }
+
+    /// Materialize the slice `key` describes. `key` must come from this
+    /// index's [`closure`](SliceIndex::closure).
+    pub fn extract(&self, key: &SliceKey) -> TestFile {
+        let mut cursor = 0usize;
+        TestFile {
+            name: self.file.name.clone(),
+            suite: self.file.suite,
+            records: self.filter_records(&self.file.records, key, &mut cursor),
+        }
+    }
+
+    /// [`closure`](SliceIndex::closure) then
+    /// [`extract`](SliceIndex::extract): the indexed form of [`slice()`].
+    pub fn slice(&self, keep: &[RecordId]) -> TestFile {
+        self.extract(&self.closure(keep.iter().map(|id| id.line as usize)))
+    }
+
+    /// Walk `records` in the same pre-order the index was built in;
+    /// `cursor` tracks the current record's position in `self.records`.
+    fn filter_records(
+        &self,
+        records: &[TestRecord],
+        key: &SliceKey,
+        cursor: &mut usize,
+    ) -> Vec<TestRecord> {
+        let mut out = Vec::new();
+        for rec in records {
+            let in_slice = key.contains(self.records[*cursor].slot);
+            *cursor += 1;
+            match &rec.kind {
+                RecordKind::Statement { .. } | RecordKind::Query { .. } => {
+                    if in_slice {
                         out.push(rec.clone());
                     }
                 }
-            },
+                RecordKind::Control(cmd) => match cmd {
+                    ControlCommand::Loop { var, start, end, body } => {
+                        let kept_body = self.filter_records(body, key, cursor);
+                        if !kept_body.is_empty() {
+                            out.push(TestRecord {
+                                conditions: rec.conditions.clone(),
+                                kind: RecordKind::Control(ControlCommand::Loop {
+                                    var: var.clone(),
+                                    start: *start,
+                                    end: *end,
+                                    body: kept_body,
+                                }),
+                                line: rec.line,
+                            });
+                        }
+                    }
+                    ControlCommand::Foreach { var, values, body } => {
+                        let kept_body = self.filter_records(body, key, cursor);
+                        if !kept_body.is_empty() {
+                            out.push(TestRecord {
+                                conditions: rec.conditions.clone(),
+                                kind: RecordKind::Control(ControlCommand::Foreach {
+                                    var: var.clone(),
+                                    values: values.clone(),
+                                    body: kept_body,
+                                }),
+                                line: rec.line,
+                            });
+                        }
+                    }
+                    // Execution-context controls are cheap and change how
+                    // later records run; keep them whenever anything follows.
+                    ControlCommand::HashThreshold(_) | ControlCommand::Mode(_) => {
+                        out.push(rec.clone());
+                    }
+                    _ => {
+                        if in_slice {
+                            out.push(rec.clone());
+                        }
+                    }
+                },
+            }
         }
+        // Trailing context controls (after the last kept record) are dead
+        // weight; trim them.
+        while matches!(
+            out.last().map(|r| &r.kind),
+            Some(RecordKind::Control(ControlCommand::HashThreshold(_)))
+                | Some(RecordKind::Control(ControlCommand::Mode(_)))
+        ) {
+            out.pop();
+        }
+        out
     }
-    // Trailing context controls (after the last kept record) are dead
-    // weight; trim them.
-    while matches!(
-        out.last().map(|r| &r.kind),
-        Some(RecordKind::Control(ControlCommand::HashThreshold(_)))
-            | Some(RecordKind::Control(ControlCommand::Mode(_)))
-    ) {
-        out.pop();
-    }
-    out
 }
 
 /// The table-ish names a DDL/DML statement defines or mutates: the
@@ -247,10 +366,6 @@ fn defined_names(sql: &str) -> Vec<String> {
 /// Every identifier-shaped word of a statement, lowercased — the
 /// conservative use-set (SQL keywords included; they only ever match a
 /// defined name if a table shares the keyword's spelling).
-fn identifier_words(sql: &str) -> Vec<String> {
-    words_of(sql).collect()
-}
-
 fn words_of(sql: &str) -> impl Iterator<Item = String> + '_ {
     sql.split(|c: char| !(c.is_alphanumeric() || c == '_'))
         .filter(|w| {

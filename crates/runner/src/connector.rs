@@ -180,8 +180,7 @@ pub struct EngineConnectorFactory {
     dialect: EngineDialect,
     client: ClientKind,
     faults: FaultProfile,
-    files: Vec<(String, Vec<String>)>,
-    extensions: Vec<String>,
+    provisioned: Provisioned,
     plan_cache: Option<Arc<PlanCache>>,
     exec_strategy: ExecStrategy,
 }
@@ -202,8 +201,7 @@ impl EngineConnectorFactory {
             dialect,
             client,
             faults,
-            files: Vec::new(),
-            extensions: Vec::new(),
+            provisioned: Provisioned::default(),
             plan_cache: None,
             exec_strategy: ExecStrategy::default(),
         }
@@ -224,14 +222,51 @@ impl EngineConnectorFactory {
 
     /// Every minted connection sees this data file (survives resets).
     pub fn provide_file(mut self, path: &str, lines: Vec<String>) -> Self {
-        self.files.push((path.to_string(), lines));
+        self.provisioned.file(path, lines);
         self
     }
 
     /// Every minted connection has this extension loaded (survives resets).
     pub fn provide_extension(mut self, name: &str) -> Self {
-        self.extensions.push(name.to_string());
+        self.provisioned.extension(name);
         self
+    }
+}
+
+/// The data files and extensions a connection carries across resets, each
+/// held once: provisioning a path or name again replaces its entry, so a
+/// long-lived connection provisioned before every file stays as cheap to
+/// reset as a fresh one.
+#[derive(Debug, Clone, Default)]
+pub struct Provisioned {
+    files: Vec<(String, Vec<String>)>,
+    extensions: Vec<String>,
+}
+
+impl Provisioned {
+    /// Hold `lines` as the content of `path`.
+    pub fn file(&mut self, path: &str, lines: Vec<String>) {
+        match self.files.iter_mut().find(|(p, _)| p == path) {
+            Some((_, held)) => *held = lines,
+            None => self.files.push((path.to_string(), lines)),
+        }
+    }
+
+    /// Hold the extension `name`.
+    pub fn extension(&mut self, name: &str) {
+        if !self.extensions.iter().any(|e| e == name) {
+            self.extensions.push(name.to_string());
+        }
+    }
+
+    /// Every held file as `(path, lines)`, in first-provisioned order.
+    pub fn files(&self) -> impl Iterator<Item = (&str, &[String])> {
+        self.files.iter().map(|(path, lines)| (path.as_str(), lines.as_slice()))
+    }
+
+    /// Every held extension name, in first-provisioned order.
+    pub fn extensions(&self) -> impl Iterator<Item = &str> {
+        self.extensions.iter().map(String::as_str)
     }
 }
 
@@ -284,10 +319,10 @@ impl ConnectorFactory for EngineConnectorFactory {
         if let Some(cache) = &self.plan_cache {
             conn.set_plan_cache(Arc::clone(cache));
         }
-        for (path, lines) in &self.files {
-            conn.provide_file(path, lines.clone());
+        for (path, lines) in self.provisioned.files() {
+            conn.provide_file(path, lines.to_vec());
         }
-        for ext in &self.extensions {
+        for ext in self.provisioned.extensions() {
             conn.provide_extension(ext);
         }
         Ok(conn)
@@ -315,8 +350,7 @@ pub struct EngineConnector {
     client: ClientKind,
     faults: FaultProfile,
     /// Environment carried across resets: registered files/extensions.
-    files: Vec<(String, Vec<String>)>,
-    extensions: Vec<String>,
+    provisioned: Provisioned,
     /// Shared parse cache, re-attached to the engine on every reset.
     plan_cache: Option<Arc<PlanCache>>,
     /// Execution strategy, re-applied to the engine on every reset.
@@ -342,8 +376,7 @@ impl EngineConnector {
             engine: Engine::with_faults(dialect, faults),
             client,
             faults,
-            files: Vec::new(),
-            extensions: Vec::new(),
+            provisioned: Provisioned::default(),
             plan_cache: None,
             exec_strategy: ExecStrategy::default(),
             parked_coverage: None,
@@ -405,13 +438,13 @@ impl EngineConnector {
     /// environment).
     pub fn provide_file(&mut self, path: &str, lines: Vec<String>) {
         self.engine.register_file(path, lines.clone());
-        self.files.push((path.to_string(), lines));
+        self.provisioned.file(path, lines);
     }
 
     /// Register an available extension/shared library, surviving resets.
     pub fn provide_extension(&mut self, name: &str) {
         self.engine.register_extension(name);
-        self.extensions.push(name.to_string());
+        self.provisioned.extension(name);
     }
 
     /// Immutable access to the engine (coverage readout).
@@ -473,18 +506,18 @@ impl Connector for EngineConnector {
     fn reset(&mut self) {
         let dialect = self.engine.dialect();
         // Preserve accumulated coverage across resets: coverage is a
-        // per-engine experiment-level measurement (Table 8).
-        let coverage = self.engine.coverage().clone();
-        self.engine = Engine::with_faults(dialect, self.faults);
+        // per-engine experiment-level measurement (Table 8). It moves into
+        // the fresh engine, universe included.
+        let coverage = std::mem::take(self.engine.coverage_mut());
+        self.engine = Engine::with_coverage(dialect, self.faults, coverage);
         self.engine.set_exec_strategy(self.exec_strategy);
-        *self.engine.coverage_mut() = coverage;
         if let Some(cache) = &self.plan_cache {
             self.engine.set_plan_cache(Arc::clone(cache));
         }
-        for (path, lines) in &self.files {
-            self.engine.register_file(path, lines.clone());
+        for (path, lines) in self.provisioned.files() {
+            self.engine.register_file(path, lines.to_vec());
         }
-        for ext in &self.extensions {
+        for ext in self.provisioned.extensions() {
             self.engine.register_extension(ext);
         }
     }
@@ -564,6 +597,27 @@ mod tests {
         c.reset();
         let (hit_after, _) = c.engine().coverage().line_counts();
         assert_eq!(hit_before, hit_after);
+    }
+
+    #[test]
+    fn repeated_provisioning_keeps_one_entry_per_path() {
+        let mut c = EngineConnector::new(EngineDialect::Postgres, ClientKind::Connector);
+        for cycle in 0..50 {
+            c.reset();
+            c.provide_file("/data/a.data", vec![format!("{cycle}")]);
+            c.provide_file("/data/b.data", vec!["1".into(), "2".into()]);
+            c.provide_extension("regresslib");
+        }
+        assert_eq!(c.provisioned.files().count(), 2);
+        assert_eq!(c.provisioned.extensions().collect::<Vec<_>>(), ["regresslib"]);
+        // A reset re-registers the held entries, and COPY reads the latest
+        // lines provisioned under a path.
+        c.reset();
+        c.execute("CREATE TABLE t(a INTEGER)").unwrap();
+        c.execute("COPY t FROM '/data/a.data'").unwrap();
+        let rows = c.execute("SELECT a FROM t").unwrap().rows;
+        assert_eq!(rows, vec![vec![Value::Integer(49)]]);
+        assert!(c.has_extension("regresslib"));
     }
 
     #[test]

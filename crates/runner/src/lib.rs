@@ -37,7 +37,8 @@ pub use classify::{
 };
 pub use connector::{
     client_result_error, engine_info, engine_token, Connector, ConnectorError, ConnectorFactory,
-    EngineConnector, EngineConnectorFactory, FnFactory, TransportError, TransportErrorKind,
+    EngineConnector, EngineConnectorFactory, FnFactory, Provisioned, TransportError,
+    TransportErrorKind,
 };
 pub use events::{
     emit_suite_finished, replay_file_events, ConnectorInfo, FanoutObserver, JsonlObserver,

@@ -10,6 +10,13 @@
 //! is byte-identical whatever the worker count — parallelism is purely a
 //! throughput knob, never an observability one.
 //!
+//! The calling thread is one of the workers, so a run of `n` workers
+//! spawns `n - 1` threads. Each spawned thread allocates from a glibc
+//! malloc arena, and one spawned while the previous phase's threads are
+//! still exiting can get a fresh arena. Fewer spawns per phase keep a long
+//! run from accumulating arenas, each of which retains its own freed
+//! memory.
+//!
 //! Files that need cross-file state (`fresh_database: false` carry-over)
 //! are inherently sequential and must keep using [`Runner::run_file`];
 //! the scheduler resets every connection before every file.
@@ -143,55 +150,55 @@ impl Runner {
         let slots: Vec<Mutex<Option<FileRunRecord>>> =
             files.iter().map(|_| Mutex::new(None)).collect();
 
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut conn: Option<F::Conn> = None;
-                    loop {
-                        let slot = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(index, file)) = files.get(slot) else { break };
-                        let conn = match &mut conn {
-                            Some(conn) => conn,
-                            None => match factory.connect() {
-                                Ok(fresh) => conn.insert(fresh),
-                                Err(e) => {
-                                    let result = connect_failure_result(&file.name, &e);
-                                    if let Some(observer) = observer {
-                                        crate::events::replay_file_events(observer, index, &result);
-                                    }
-                                    *slots[slot].lock().expect("record slot poisoned") =
-                                        Some(FileRunRecord {
-                                            index,
-                                            result,
-                                            translation: TranslationStats::new().counts(),
-                                        });
-                                    continue;
-                                }
-                            },
-                        };
-                        conn.reset();
-                        prepare(conn);
-                        // A private counter set per file isolates this
-                        // file's translation deltas; the shared memo cache
-                        // still deduplicates the parse/print work.
-                        let stats = std::sync::Arc::new(TranslationStats::new());
-                        let per_file = Runner {
-                            options: RunnerOptions { fresh_database: false, ..self.options },
-                            translation_stats: std::sync::Arc::clone(&stats),
-                            translation_cache: std::sync::Arc::clone(&self.translation_cache),
-                        };
-                        let result = match observer {
-                            Some(observer) => {
-                                per_file.run_file_observed(conn, file, index, observer)
+        let work = || {
+            let mut conn: Option<F::Conn> = None;
+            loop {
+                let slot = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&(index, file)) = files.get(slot) else { break };
+                let conn = match &mut conn {
+                    Some(conn) => conn,
+                    None => match factory.connect() {
+                        Ok(fresh) => conn.insert(fresh),
+                        Err(e) => {
+                            let result = connect_failure_result(&file.name, &e);
+                            if let Some(observer) = observer {
+                                crate::events::replay_file_events(observer, index, &result);
                             }
-                            None => per_file.run_file(conn, file),
-                        };
-                        epilogue(conn, index);
-                        *slots[slot].lock().expect("record slot poisoned") =
-                            Some(FileRunRecord { index, result, translation: stats.counts() });
-                    }
-                });
+                            *slots[slot].lock().expect("record slot poisoned") =
+                                Some(FileRunRecord {
+                                    index,
+                                    result,
+                                    translation: TranslationStats::new().counts(),
+                                });
+                            continue;
+                        }
+                    },
+                };
+                conn.reset();
+                prepare(conn);
+                // A private counter set per file isolates this
+                // file's translation deltas; the shared memo cache
+                // still deduplicates the parse/print work.
+                let stats = std::sync::Arc::new(TranslationStats::new());
+                let per_file = Runner {
+                    options: RunnerOptions { fresh_database: false, ..self.options },
+                    translation_stats: std::sync::Arc::clone(&stats),
+                    translation_cache: std::sync::Arc::clone(&self.translation_cache),
+                };
+                let result = match observer {
+                    Some(observer) => per_file.run_file_observed(conn, file, index, observer),
+                    None => per_file.run_file(conn, file),
+                };
+                epilogue(conn, index);
+                *slots[slot].lock().expect("record slot poisoned") =
+                    Some(FileRunRecord { index, result, translation: stats.counts() });
             }
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(work);
+            }
+            work();
         });
 
         slots
@@ -235,45 +242,45 @@ impl Runner {
             files.iter().map(|_| Mutex::new(None)).collect();
         let retired = Mutex::new(Vec::with_capacity(workers));
 
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    // Connect lazily on the first claimed file: a worker
-                    // that loses the queue race entirely never pays engine
-                    // construction and retires no connection.
-                    let mut conn: Option<F::Conn> = None;
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(file) = files.get(i) else { break };
-                        let conn = match &mut conn {
-                            Some(conn) => conn,
-                            None => match factory.connect() {
-                                Ok(fresh) => conn.insert(fresh),
-                                Err(e) => {
-                                    let result = connect_failure_result(&file.name, &e);
-                                    if let Some((_, observer)) = observed {
-                                        crate::events::replay_file_events(observer, i, &result);
-                                    }
-                                    *slots[i].lock().expect("result slot poisoned") = Some(result);
-                                    continue;
-                                }
-                            },
-                        };
-                        conn.reset();
-                        prepare(conn);
-                        let result = match observed {
-                            Some((_, observer)) => {
-                                per_file.run_file_observed(conn, file, i, observer)
+        let work = || {
+            // Connect lazily on the first claimed file: a worker
+            // that loses the queue race entirely never pays engine
+            // construction and retires no connection.
+            let mut conn: Option<F::Conn> = None;
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(file) = files.get(i) else { break };
+                let conn = match &mut conn {
+                    Some(conn) => conn,
+                    None => match factory.connect() {
+                        Ok(fresh) => conn.insert(fresh),
+                        Err(e) => {
+                            let result = connect_failure_result(&file.name, &e);
+                            if let Some((_, observer)) = observed {
+                                crate::events::replay_file_events(observer, i, &result);
                             }
-                            None => per_file.run_file(conn, file),
-                        };
-                        *slots[i].lock().expect("result slot poisoned") = Some(result);
-                    }
-                    if let Some(conn) = conn {
-                        retired.lock().expect("retired list poisoned").push(conn);
-                    }
-                });
+                            *slots[i].lock().expect("result slot poisoned") = Some(result);
+                            continue;
+                        }
+                    },
+                };
+                conn.reset();
+                prepare(conn);
+                let result = match observed {
+                    Some((_, observer)) => per_file.run_file_observed(conn, file, i, observer),
+                    None => per_file.run_file(conn, file),
+                };
+                *slots[i].lock().expect("result slot poisoned") = Some(result);
             }
+            if let Some(conn) = conn {
+                retired.lock().expect("retired list poisoned").push(conn);
+            }
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(work);
+            }
+            work();
         });
 
         let execution = SuiteExecution {

@@ -10,8 +10,9 @@
 //! parens but records the paren depth so both behaviours can be studied).
 
 use crate::dialect::TextDialect;
-use crate::lexer::tokenize;
+use crate::lexer::Lexer;
 use crate::token::{Token, TokenKind};
+use std::borrow::Borrow;
 
 /// The type of a SQL statement at the granularity used by the paper's
 /// Figure 2 and Table 6 analyses.
@@ -179,52 +180,57 @@ impl StatementType {
     }
 }
 
-/// Classify one SQL statement.
+/// Classify one SQL statement. Tokens are lexed on demand: only the
+/// leading parentheses, the verb and `CREATE`'s noise words are read, so
+/// the cost does not grow with the statement's length.
 pub fn classify(sql: &str, dialect: TextDialect) -> StatementType {
     let trimmed = sql.trim_start();
     if trimmed.starts_with('\\') {
         return StatementType::CliCommand;
     }
-    let tokens = tokenize(sql, dialect);
-    classify_tokens(&tokens)
+    classify_stream(Lexer::new(sql, dialect).filter(|t| t.kind != TokenKind::Comment))
 }
 
 /// Classify from an existing token stream (comments must be pre-filtered).
 pub fn classify_tokens(tokens: &[Token]) -> StatementType {
+    classify_stream(tokens.iter())
+}
+
+fn classify_stream<T: Borrow<Token>>(mut tokens: impl Iterator<Item = T>) -> StatementType {
     // Peel leading parentheses: "(((select ...)))" classifies as SELECT.
-    let mut idx = 0usize;
-    while idx < tokens.len() && tokens[idx].is_symbol("(") {
-        idx += 1;
-    }
-    let Some(first) = tokens.get(idx) else {
-        return StatementType::Unknown(String::new());
+    let first = loop {
+        match tokens.next() {
+            Some(tok) if tok.borrow().is_symbol("(") => continue,
+            Some(tok) => break tok,
+            None => return StatementType::Unknown(String::new()),
+        }
     };
+    let first = first.borrow();
     if first.kind != TokenKind::Word {
         return StatementType::Unknown(first.text.clone());
     }
-    let second = tokens.get(idx + 1);
-    let word = first.upper();
-    match word.as_str() {
+    let mut second = || tokens.next().map(|t| t.borrow().upper());
+    match first.upper().as_str() {
         "SELECT" => StatementType::Select,
         "INSERT" | "REPLACE" => StatementType::Insert,
         "UPDATE" => StatementType::Update,
         "DELETE" => StatementType::Delete,
-        "CREATE" => classify_create(tokens, idx + 1),
-        "DROP" => match second.map(|t| t.upper()).as_deref() {
+        "CREATE" => classify_create(tokens),
+        "DROP" => match second().as_deref() {
             Some("TABLE") => StatementType::DropTable,
             Some("INDEX") => StatementType::DropIndex,
             Some("VIEW") => StatementType::DropView,
             Some("SCHEMA") => StatementType::DropSchema,
             _ => StatementType::DropOther,
         },
-        "ALTER" => match second.map(|t| t.upper()).as_deref() {
+        "ALTER" => match second().as_deref() {
             Some("TABLE") => StatementType::AlterTable,
             Some("SCHEMA") => StatementType::AlterSchema,
             _ => StatementType::AlterOther,
         },
         "BEGIN" => StatementType::Begin,
         "START" => {
-            if second.map(|t| t.is_keyword("TRANSACTION")).unwrap_or(false) {
+            if tokens.next().is_some_and(|t| t.borrow().is_keyword("TRANSACTION")) {
                 StatementType::Begin
             } else {
                 StatementType::Unknown("START".into())
@@ -243,7 +249,9 @@ pub fn classify_tokens(tokens: &[Token]) -> StatementType {
         "SHOW" => StatementType::Show,
         "USE" => StatementType::Use,
         "VALUES" => StatementType::Values,
-        "WITH" => classify_with(tokens, idx + 1),
+        // WITH stays its own category (the paper reports it as such,
+        // 0.48%) whatever main verb follows the CTE list.
+        "WITH" => StatementType::With,
         "EXECUTE" | "EXEC" => StatementType::Execute,
         "PREPARE" => StatementType::Prepare,
         "DEALLOCATE" => StatementType::Deallocate,
@@ -278,16 +286,17 @@ pub fn classify_tokens(tokens: &[Token]) -> StatementType {
     }
 }
 
-/// CREATE is the most overloaded verb; peek past OR REPLACE / TEMP /
+/// CREATE is the most overloaded verb; read past OR REPLACE / TEMP /
 /// UNIQUE / MATERIALIZED / GLOBAL|LOCAL noise words to the object kind.
-fn classify_create(tokens: &[Token], mut idx: usize) -> StatementType {
-    while let Some(tok) = tokens.get(idx) {
+fn classify_create<T: Borrow<Token>>(tokens: impl Iterator<Item = T>) -> StatementType {
+    for tok in tokens {
+        let tok = tok.borrow();
         if tok.kind != TokenKind::Word {
             break;
         }
         match tok.upper().as_str() {
             "OR" | "REPLACE" | "TEMP" | "TEMPORARY" | "UNIQUE" | "MATERIALIZED" | "GLOBAL"
-            | "LOCAL" | "UNLOGGED" | "VIRTUAL" | "RECURSIVE" => idx += 1,
+            | "LOCAL" | "UNLOGGED" | "VIRTUAL" | "RECURSIVE" => {}
             "TABLE" => return StatementType::CreateTable,
             "INDEX" => return StatementType::CreateIndex,
             "VIEW" => return StatementType::CreateView,
@@ -304,28 +313,6 @@ fn classify_create(tokens: &[Token], mut idx: usize) -> StatementType {
         }
     }
     StatementType::Unknown("CREATE".into())
-}
-
-/// Resolve a leading WITH to its main verb when possible: scan forward at
-/// paren depth zero for the first DML/query verb after the CTE list. If no
-/// main verb is found the statement stays `With` (matching the paper, which
-/// reports WITH as its own infrequent category, 0.48%).
-fn classify_with(tokens: &[Token], start: usize) -> StatementType {
-    let mut depth = 0i32;
-    for tok in &tokens[start..] {
-        match tok.kind {
-            TokenKind::Punct if tok.text == "(" => depth += 1,
-            TokenKind::Punct if tok.text == ")" => depth -= 1,
-            TokenKind::Word if depth == 0 => match tok.upper().as_str() {
-                "SELECT" | "INSERT" | "UPDATE" | "DELETE" | "VALUES" | "MERGE" => {
-                    return StatementType::With
-                }
-                _ => {}
-            },
-            _ => {}
-        }
-    }
-    StatementType::With
 }
 
 #[cfg(test)]
@@ -421,6 +408,47 @@ mod tests {
     fn empty_is_unknown() {
         assert_eq!(c(""), StatementType::Unknown(String::new()));
         assert_eq!(c("   "), StatementType::Unknown(String::new()));
+    }
+
+    /// The eager reference: tokenize everything, then classify.
+    fn eager(sql: &str) -> StatementType {
+        if sql.trim_start().starts_with('\\') {
+            return StatementType::CliCommand;
+        }
+        classify_tokens(&crate::lexer::tokenize(sql, TextDialect::Generic))
+    }
+
+    #[test]
+    fn lazy_classification_matches_the_eager_token_scan() {
+        let cases = [
+            ("((((( (select 1) )))))", StatementType::Select),
+            ("((( insert into t values (1)", StatementType::Insert),
+            ("(", StatementType::Unknown(String::new())),
+            ("( 42 )", StatementType::Unknown("42".into())),
+            ("/* a */ -- b\n /* c */ UPDATE t SET a = 1", StatementType::Update),
+            ("-- only a comment", StatementType::Unknown(String::new())),
+            (
+                "CREATE OR REPLACE GLOBAL TEMPORARY UNLOGGED VIRTUAL RECURSIVE MATERIALIZED VIEW v",
+                StatementType::CreateView,
+            ),
+            ("CREATE OR REPLACE TEMP UNIQUE INDEX i ON t(a)", StatementType::CreateIndex),
+            ("CREATE OR REPLACE TEMP", StatementType::Unknown("CREATE".into())),
+            ("CREATE OR REPLACE TEMP (a)", StatementType::Unknown("CREATE".into())),
+            ("create temp macro m(a) AS a", StatementType::CreateFunction),
+            ("DROP", StatementType::DropOther),
+            ("ALTER", StatementType::AlterOther),
+            ("START", StatementType::Unknown("START".into())),
+            ("START /* x */ transaction", StatementType::Begin),
+            ("WITH x AS (SELECT 1) DELETE FROM t", StatementType::With),
+            ("WITH", StatementType::With),
+            ("", StatementType::Unknown(String::new())),
+            ("\\d t1", StatementType::CliCommand),
+            ("\t\n \\set x 1", StatementType::CliCommand),
+        ];
+        for (sql, want) in cases {
+            assert_eq!(c(sql), want, "{sql:?}");
+            assert_eq!(c(sql), eager(sql), "{sql:?}");
+        }
     }
 
     #[test]
