@@ -26,7 +26,7 @@ use crate::protocol::{
 use squality_engine::{ClientKind, Coverage, EngineDialect, FaultProfile, QueryResult, Value};
 use squality_runner::{
     client_result_error, engine_info, engine_token, Connector, ConnectorError, ConnectorFactory,
-    ConnectorInfo, Provisioned, TransportError, TransportErrorKind,
+    ConnectorInfo, Provisionable, Provisioned, TransportError, TransportErrorKind,
 };
 use std::io::{BufReader, Write};
 use std::path::PathBuf;
@@ -484,6 +484,15 @@ impl SubprocessConnector {
                 format!("{message} (restart budget of {} exhausted)", self.config.max_restarts);
         }
         TransportError { kind, message, recovered }
+    }
+}
+
+impl Provisionable for SubprocessConnector {
+    fn provide_file(&mut self, path: &str, lines: Vec<String>) {
+        SubprocessConnector::provide_file(self, path, lines);
+    }
+    fn provide_extension(&mut self, name: &str) {
+        SubprocessConnector::provide_extension(self, name);
     }
 }
 

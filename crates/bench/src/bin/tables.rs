@@ -15,8 +15,7 @@
 //!           stability (flakiness arm: --reruns baseline re-executions +
 //!                      perturbation probes per failure cluster and bug;
 //!                      table also written to --out/stability.txt)
-//!           bench-engine (hot-path + reduction + incremental + replay perf
-//!                         → BENCH_engine.json)
+//!           bench-engine (hot-path + DML throughput perf → BENCH_engine.json)
 //! squality-tables cache stats|clear [--cache-dir DIR]
 //! squality-tables bugs list|show KEY|replay|import DIR|gc [--store DIR]
 //! ```
@@ -65,11 +64,10 @@
 //! drops entries minimized under a stale semantics version.
 //!
 //! `bench-engine` measures the execution-core hot paths (grouping,
-//! DISTINCT, equi-join, set-ops) under both executor strategies plus the
-//! triage reduction loop, the incremental-study cold/warm/dirty
-//! triple, and the bug-store round trip (cold triage vs incremental
-//! re-triage vs regression replay), and writes the numbers to
-//! `--bench-out` (default `BENCH_engine.json`).
+//! DISTINCT, equi-join, set-ops) and sustained DML throughput under both
+//! executor strategies, and writes the numbers to `--bench-out` (default
+//! `BENCH_engine.json`). Study, cache and triage timings are perfbench's
+//! job (`perfbench/`).
 //!
 //! `--cache` replays study cells from the content-addressed result cache
 //! (default `.squality-cache/`, override with `--cache-dir`): a repeated
@@ -260,7 +258,7 @@ fn main() {
     // The engine hot-path bench runs standalone (no study needed).
     if sections.iter().any(|s| s == "bench-engine") {
         sections.retain(|s| s != "bench-engine");
-        run_bench_engine(&bench_rows, bench_samples, &bench_out, workers);
+        run_bench_engine(&bench_rows, bench_samples, &bench_out);
         if sections.is_empty() {
             return;
         }
@@ -608,11 +606,8 @@ fn cache_clear(root: &std::path::Path) {
     println!("cleared {entries} entries ({bytes} bytes) from {}", root.display());
 }
 
-fn run_bench_engine(rows: &[usize], samples: usize, out_path: &str, workers: usize) {
+fn run_bench_engine(rows: &[usize], samples: usize, out_path: &str) {
     use squality_bench::hot_paths::{render_json, run_comparison};
-    use squality_bench::incremental::run_incremental_bench;
-    use squality_bench::reduction::run_reduction_bench;
-    use squality_bench::replay::run_replay_bench;
     use squality_bench::throughput::run_throughput;
     eprintln!(
         "measuring engine hot paths (rows: {rows:?}, {samples} samples/case, both strategies)..."
@@ -652,59 +647,7 @@ fn run_bench_engine(rows: &[usize], samples: usize, out_path: &str, workers: usi
             t.speedup()
         );
     }
-    // The triage reducer's probe loop is a hot path too: measure ddmin
-    // throughput on synthetic failing files.
-    eprintln!("measuring triage reduction throughput...");
-    let reduction = run_reduction_bench(&[64, 256], 512);
-    println!(
-        "{:<20} {:>8} {:>10} {:>8} {:>14} {:>12}",
-        "case", "records", "reduced", "probes", "probes/sec", "eliminated"
-    );
-    for r in &reduction {
-        println!(
-            "{:<20} {:>8} {:>10} {:>8} {:>14.1} {:>12}",
-            "reduction",
-            r.records,
-            r.reduced_records,
-            r.probes,
-            r.probes_per_sec(),
-            r.records_eliminated()
-        );
-    }
-    // Cold/warm/dirty study wall-clock through the result cache.
-    eprintln!("measuring incremental study replay (cold vs warm vs dirty)...");
-    let incremental = run_incremental_bench(squality_bench::BENCH_SCALE, 7, workers);
-    println!(
-        "{:<20} {:>10} {:>10} {:>10} {:>9} {:>9}",
-        "case", "cold ms", "warm ms", "dirty ms", "warm", "dirty"
-    );
-    println!(
-        "{:<20} {:>10.1} {:>10.1} {:>10.1} {:>8.1}x {:>8.1}x",
-        "study_incremental",
-        incremental.cold_ms,
-        incremental.warm_ms,
-        incremental.dirty_ms,
-        incremental.warm_speedup(),
-        incremental.dirty_speedup()
-    );
-    // Triage twice against one bug store (cold ddmin, then pure reuse),
-    // then replay the persisted corpus as a regression suite.
-    eprintln!("measuring bug-store triage reuse and regression replay...");
-    let replay = run_replay_bench(squality_bench::BENCH_SCALE, workers);
-    println!(
-        "{:<20} {:>10} {:>10} {:>10} {:>9} {:>10}",
-        "case", "cold ms", "warm ms", "replay ms", "reuse", "stmts/sec"
-    );
-    println!(
-        "{:<20} {:>10.1} {:>10.1} {:>10.1} {:>8.1}x {:>10.0}",
-        "bug_replay",
-        replay.cold_triage_ms,
-        replay.warm_triage_ms,
-        replay.replay_ms,
-        replay.incremental_speedup(),
-        replay.statements_per_sec()
-    );
-    let json = render_json(&results, &reduction, Some(&incremental), Some(&replay), &throughput);
+    let json = render_json(&results, &throughput);
     if let Err(e) = ensure_parent_dir(Path::new(out_path)) {
         eprintln!("error: cannot create output directory for {out_path}: {e}");
         std::process::exit(1);

@@ -147,20 +147,11 @@ pub fn run_comparison(row_counts: &[usize], samples: usize) -> Vec<HotPathResult
     out
 }
 
-/// Render the comparison as the `BENCH_engine.json` document. When
-/// reduction rows are given (see [`crate::reduction`]), they are included
-/// as a `"reduction"` section so the perf trajectory covers the triage
-/// reducer's probe loop too; an incremental-study triple (see
-/// [`crate::incremental`]) adds the `"study_incremental"` section and a
-/// bug-store round trip (see [`crate::replay`]) the `"bug_replay"`
-/// section. Flood-workload rows (see [`crate::throughput`]) add the
-/// `"throughput"` section with sustained statements/sec under both
-/// strategies.
+/// Render the comparison as the `BENCH_engine.json` document. Flood
+/// workload rows (see [`crate::throughput`]) add the `"throughput"`
+/// section with sustained statements/sec under both strategies.
 pub fn render_json(
     results: &[HotPathResult],
-    reduction: &[crate::reduction::ReductionBenchResult],
-    incremental: Option<&crate::incremental::IncrementalBenchResult>,
-    replay: Option<&crate::replay::ReplayBenchResult>,
     throughput: &[crate::throughput::ThroughputResult],
 ) -> String {
     let mut s = String::from(
@@ -177,31 +168,11 @@ pub fn render_json(
             if i + 1 == results.len() { "" } else { "," }
         ));
     }
-    let mut sections: Vec<String> = Vec::new();
-    if !reduction.is_empty() {
-        sections.push(crate::reduction::render_reduction_json(reduction));
-    }
-    if let Some(inc) = incremental {
-        sections.push(crate::incremental::render_incremental_json(inc));
-    }
-    if let Some(rep) = replay {
-        sections.push(crate::replay::render_replay_json(rep));
-    }
-    if !throughput.is_empty() {
-        sections.push(crate::throughput::render_throughput_json(throughput));
-    }
-    if sections.is_empty() {
+    if throughput.is_empty() {
         s.push_str("  ]\n}\n");
     } else {
         s.push_str("  ],\n");
-        for (i, section) in sections.iter().enumerate() {
-            s.push_str(section);
-            if i + 1 != sections.len() {
-                // Turn the section's closing newline into a separator.
-                s.truncate(s.len() - 1);
-                s.push_str(",\n");
-            }
-        }
+        s.push_str(&crate::throughput::render_throughput_json(throughput));
         s.push_str("}\n");
     }
     s

@@ -4,9 +4,6 @@
 use squality_core::{run_study, Study, StudyConfig};
 
 pub mod hot_paths;
-pub mod incremental;
-pub mod reduction;
-pub mod replay;
 pub mod throughput;
 
 /// Create the parent directory of an output-file path when it is

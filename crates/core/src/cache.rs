@@ -16,28 +16,25 @@
 //! timing excluded from canonical logs) is exactly what makes such replay
 //! possible.
 //!
-//! The on-disk store is deliberately boring: one file per entry under a
-//! schema-versioned directory, written atomically (unique temp file +
-//! rename), with a header line double-checking the version. *Any* read
-//! problem — missing file, bad header, truncated body, garbage — degrades
-//! to a miss and a recompute, never an error: the cache can always be
-//! deleted, and concurrent writers racing the same key both win (either
-//! rename leaves a valid entry).
+//! The on-disk side is the shared [`squality_runner::store`]: one file
+//! per entry under a schema-versioned directory, written atomically, with
+//! *any* read problem degrading to a miss and a recompute, never an
+//! error. This module adds the key derivation and the entry codec, whose
+//! header line double-checks the version.
 
 use crate::transplant::Provision;
 use squality_corpus::DonorEnvironment;
 use squality_engine::{ClientKind, Coverage, FaultId, FaultProfile};
-use squality_formats::{ContentHasher, SuiteKind};
+use squality_formats::{suite_tag, ContentHasher, SuiteKind};
 use squality_runner::sigcodec::{
     decode_signature, decode_translation_counts, encode_signature, encode_translation_counts,
-    escape, unescape,
+    escape, text_dialect_tag, unescape,
 };
 use squality_runner::{
-    FailInfo, FileResult, NumericMode, Outcome, RecordResult, TranslationCounts, TranslationMode,
-    TranslationRule,
+    FailInfo, FileResult, NumericMode, Outcome, RecordResult, Store, StoreStats, TranslationCounts,
+    TranslationMode, TranslationRule,
 };
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// On-disk format version. Bumping it orphans (and ignores) every entry
@@ -47,9 +44,6 @@ use std::sync::Arc;
 /// v2: the failure line delegates signature serialization to the shared
 /// [`squality_runner::sigcodec`] codec (also used by the bug store).
 pub const SCHEMA_VERSION: u32 = 2;
-
-/// Process-wide counter making concurrent writers' temp file names unique.
-static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// Everything configuration-side that determines a cell's results — the
 /// cell half of a [`FileKey`]. Fields that provably cannot change an
@@ -92,12 +86,7 @@ impl CellSpec<'_> {
     pub fn cell_hash(&self) -> u64 {
         let mut h = ContentHasher::new();
         h.write_str("squality-cell");
-        h.write_tag(match self.suite {
-            SuiteKind::Slt => 0,
-            SuiteKind::Duckdb => 1,
-            SuiteKind::PgRegress => 2,
-            SuiteKind::MysqlTest => 3,
-        });
+        h.write_tag(suite_tag(self.suite));
         h.write_str(self.engine_fingerprint);
         h.write_tag(match self.client {
             ClientKind::Cli => 0,
@@ -162,17 +151,6 @@ impl CellSpec<'_> {
     }
 }
 
-fn text_dialect_tag(d: squality_sqltext::TextDialect) -> u8 {
-    use squality_sqltext::TextDialect;
-    match d {
-        TextDialect::Sqlite => 0,
-        TextDialect::Postgres => 1,
-        TextDialect::Duckdb => 2,
-        TextDialect::Mysql => 3,
-        TextDialect::Generic => 4,
-    }
-}
-
 /// Address of one cached per-file result: cell configuration hash × file
 /// content hash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -197,34 +175,6 @@ pub struct CachedFileRun {
     pub coverage: Coverage,
 }
 
-/// Hit/miss counters of one cache over one run, snapshot via
-/// [`ResultCache::stats`] — threaded to reports the same way
-/// [`squality_runner::TranslationStats`] counters are.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Lookups answered from disk.
-    pub hits: u64,
-    /// Lookups that fell through to execution.
-    pub misses: u64,
-    /// Entries written.
-    pub stores: u64,
-    /// Entries that existed but failed validation (bad version, truncated,
-    /// garbage) — a subset of `misses`.
-    pub corrupt: u64,
-}
-
-impl CacheStats {
-    /// Fraction of lookups answered from the cache, in [0, 1].
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// The content-addressed on-disk result store.
 ///
 /// Cheap to construct; share one per run via [`ResultCache::shared`] and
@@ -232,23 +182,13 @@ impl CacheStats {
 /// are thread-safe; lookups and stores from racing workers are safe
 /// because writes are atomic renames of complete entries.
 pub struct ResultCache {
-    root: PathBuf,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    stores: AtomicU64,
-    corrupt: AtomicU64,
+    store: Store,
 }
 
 impl ResultCache {
     /// A cache rooted at `root` (created lazily on first store).
     pub fn new(root: impl Into<PathBuf>) -> ResultCache {
-        ResultCache {
-            root: root.into(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            stores: AtomicU64::new(0),
-            corrupt: AtomicU64::new(0),
-        }
+        ResultCache { store: Store::new(root, SCHEMA_VERSION, "entry") }
     }
 
     /// [`ResultCache::new`] wrapped for sharing across cells of a study.
@@ -264,111 +204,34 @@ impl ResultCache {
 
     /// The cache's root directory.
     pub fn root(&self) -> &Path {
-        &self.root
-    }
-
-    fn entry_path(&self, key: &FileKey) -> PathBuf {
-        // Shard by the cell hash's top byte to keep directories small.
-        self.root
-            .join(format!("v{SCHEMA_VERSION}"))
-            .join(format!("{:02x}", key.cell >> 56))
-            .join(format!("{:016x}-{:016x}.entry", key.cell, key.file))
+        self.store.root()
     }
 
     /// Fetch a cached run. Any failure — absent entry, version mismatch,
     /// truncation, garbage — is a miss, never an error.
     pub fn lookup(&self, key: &FileKey) -> Option<CachedFileRun> {
-        let path = self.entry_path(key);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
-        match decode_entry(&text) {
-            Some(run) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(run)
-            }
-            None => {
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.store.lookup(&stem(key), decode_entry)
     }
 
-    /// Persist one run atomically: write a complete entry to a uniquely
-    /// named temp file, then rename into place. Two workers racing the
-    /// same key each rename a *valid* entry, so readers never observe a
-    /// partial write. IO failures are swallowed — a cache that cannot
-    /// write simply never hits.
+    /// Persist one run atomically. IO failures are swallowed — a cache
+    /// that cannot write simply never hits.
     pub fn store(&self, key: &FileKey, run: &CachedFileRun) {
-        let path = self.entry_path(key);
-        let Some(dir) = path.parent() else { return };
-        if std::fs::create_dir_all(dir).is_err() {
-            return;
-        }
-        let tmp = dir.join(format!(
-            ".tmp-{}-{}",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        if std::fs::write(&tmp, encode_entry(run)).is_err() {
-            let _ = std::fs::remove_file(&tmp);
-            return;
-        }
-        if std::fs::rename(&tmp, &path).is_ok() {
-            self.stores.fetch_add(1, Ordering::Relaxed);
-        } else {
-            let _ = std::fs::remove_file(&tmp);
-        }
+        self.store.store(&stem(key), &encode_entry(run));
     }
 
     /// Snapshot of this instance's lookup/store counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            stores: self.stores.load(Ordering::Relaxed),
-            corrupt: self.corrupt.load(Ordering::Relaxed),
-        }
+    pub fn stats(&self) -> StoreStats {
+        self.store.stats()
     }
 
-    /// Every entry file currently on disk (all schema versions), sorted —
-    /// introspection, disk accounting, and targeted eviction in benches.
-    pub fn entry_paths(&self) -> Vec<PathBuf> {
-        let mut out = Vec::new();
-        let mut stack = vec![self.root.clone()];
-        while let Some(dir) = stack.pop() {
-            let Ok(entries) = std::fs::read_dir(&dir) else { continue };
-            for entry in entries.flatten() {
-                let path = entry.path();
-                if path.is_dir() {
-                    stack.push(path);
-                } else if path.extension().is_some_and(|e| e == "entry") {
-                    out.push(path);
-                }
-            }
-        }
-        out.sort();
-        out
-    }
-
-    /// `(entry count, total bytes)` on disk.
+    /// `(entry count, total bytes)` on disk, over every schema version.
     pub fn disk_usage(&self) -> (usize, u64) {
-        let paths = self.entry_paths();
-        let bytes = paths.iter().filter_map(|p| std::fs::metadata(p).ok()).map(|m| m.len()).sum();
-        (paths.len(), bytes)
+        self.store.disk_usage()
     }
 
     /// Delete the entire cache directory.
     pub fn clear(&self) -> std::io::Result<()> {
-        match std::fs::remove_dir_all(&self.root) {
-            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
-            _ => Ok(()),
-        }
+        self.store.clear()
     }
 
     /// Record this instance's counters as the cache's "last run" stats,
@@ -376,9 +239,9 @@ impl ResultCache {
     /// `squality-tables cache stats` surface).
     pub fn persist_stats(&self) {
         let s = self.stats();
-        if std::fs::create_dir_all(&self.root).is_ok() {
+        if std::fs::create_dir_all(self.root()).is_ok() {
             let _ = std::fs::write(
-                self.root.join("last-run-stats"),
+                self.root().join("last-run-stats"),
                 format!("{} {} {} {}\n", s.hits, s.misses, s.stores, s.corrupt),
             );
         }
@@ -386,12 +249,18 @@ impl ResultCache {
 
     /// The counters persisted by the most recent [`ResultCache::persist_stats`]
     /// under `root`, if any.
-    pub fn last_run_stats(root: &Path) -> Option<CacheStats> {
+    pub fn last_run_stats(root: &Path) -> Option<StoreStats> {
         let text = std::fs::read_to_string(root.join("last-run-stats")).ok()?;
         let mut nums = text.split_whitespace().map(|n| n.parse::<u64>());
         let mut next = || nums.next()?.ok();
-        Some(CacheStats { hits: next()?, misses: next()?, stores: next()?, corrupt: next()? })
+        Some(StoreStats { hits: next()?, misses: next()?, stores: next()?, corrupt: next()? })
     }
+}
+
+/// The entry's file stem; its first two hex digits (the cell hash's top
+/// byte) name the shard.
+fn stem(key: &FileKey) -> String {
+    format!("{:016x}-{:016x}", key.cell, key.file)
 }
 
 // --- entry codec -----------------------------------------------------------
@@ -639,87 +508,28 @@ mod tests {
         cache.store(&key, &run);
         let got = cache.lookup(&key).expect("stored entry hits");
         assert_eq!(got.result, run.result);
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.stores, stats.corrupt), (1, 1, 1, 0));
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-9);
-        let (entries, bytes) = cache.disk_usage();
-        assert_eq!(entries, 1);
-        assert!(bytes > 0);
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
+        let path = cache.store.entry_path(&stem(&key));
+        assert!(path.ends_with("v2/00/0000000000000abc-0000000000000def.entry"), "{path:?}");
         cache.clear().unwrap();
-        assert_eq!(cache.disk_usage().0, 0);
     }
 
     #[test]
-    fn schema_version_mismatch_is_a_miss() {
-        let cache = temp_cache("version");
-        let key = FileKey { cell: 1, file: 2 };
-        cache.store(&key, &sample_run());
-        let path = cache.entry_paths().pop().expect("one entry");
-        let old = std::fs::read_to_string(&path).unwrap();
+    fn schema_version_mismatch_is_rejected() {
+        let text = encode_entry(&sample_run());
         let bumped =
-            old.replacen(&format!("v{SCHEMA_VERSION}"), &format!("v{}", SCHEMA_VERSION + 1), 1);
-        std::fs::write(&path, bumped).unwrap();
-        assert!(cache.lookup(&key).is_none(), "future-version entry must miss");
-        assert_eq!(cache.stats().corrupt, 1);
-        cache.clear().unwrap();
+            text.replacen(&format!("v{SCHEMA_VERSION}"), &format!("v{}", SCHEMA_VERSION + 1), 1);
+        assert!(decode_entry(&bumped).is_none(), "future-version entry must not decode");
     }
 
     #[test]
-    fn truncated_entry_is_a_miss() {
-        let cache = temp_cache("truncated");
-        let key = FileKey { cell: 3, file: 4 };
-        cache.store(&key, &sample_run());
-        let path = cache.entry_paths().pop().expect("one entry");
-        let full = std::fs::read_to_string(&path).unwrap();
+    fn truncated_or_garbage_entry_is_rejected() {
+        let text = encode_entry(&sample_run());
         // Drop the END terminator and a bit more — a torn write.
-        let cut = full.len() - "END\n".len() - 7;
-        std::fs::write(&path, &full[..cut]).unwrap();
-        assert!(cache.lookup(&key).is_none(), "truncated entry must miss");
-        assert_eq!(cache.stats().corrupt, 1);
-        cache.clear().unwrap();
-    }
-
-    #[test]
-    fn garbage_entry_is_a_miss() {
-        let cache = temp_cache("garbage");
-        let key = FileKey { cell: 5, file: 6 };
-        cache.store(&key, &sample_run());
-        let path = cache.entry_paths().pop().expect("one entry");
-        std::fs::write(&path, "not an entry at all\n\0\0\0").unwrap();
-        assert!(cache.lookup(&key).is_none(), "garbage entry must miss");
-        let stats = cache.stats();
-        assert_eq!((stats.misses, stats.corrupt), (1, 1));
-        cache.clear().unwrap();
-    }
-
-    #[test]
-    fn concurrent_writers_racing_one_key_leave_a_valid_entry() {
-        let cache = std::sync::Arc::new(temp_cache("race"));
-        let key = FileKey { cell: 7, file: 8 };
-        let run = sample_run();
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                let cache = std::sync::Arc::clone(&cache);
-                let run = run.clone();
-                scope.spawn(move || {
-                    for _ in 0..20 {
-                        cache.store(&key, &run);
-                    }
-                });
-            }
-        });
-        let got = cache.lookup(&key).expect("a racing store still leaves a valid entry");
-        assert_eq!(got.result, run.result);
-        // No temp litter: exactly the one entry file remains.
-        assert_eq!(cache.disk_usage().0, 1);
-        let dir = cache.entry_paths().pop().unwrap();
-        let litter: Vec<_> = std::fs::read_dir(dir.parent().unwrap())
-            .unwrap()
-            .flatten()
-            .filter(|e| e.file_name().to_string_lossy().starts_with(".tmp-"))
-            .collect();
-        assert!(litter.is_empty(), "temp files must not leak: {litter:?}");
-        cache.clear().unwrap();
+        let cut = text.len() - "END\n".len() - 7;
+        assert!(decode_entry(&text[..cut]).is_none(), "truncated entry must not decode");
+        assert!(decode_entry(&text[..text.len() - "END\n".len()]).is_none(), "missing END");
+        assert!(decode_entry("not an entry at all\n\0\0\0").is_none());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The full empirical study: every experiment from the paper's evaluation,
 //! orchestrated over the generated corpora and the four engine simulators.
 
-use crate::cache::{CacheStats, ResultCache};
+use crate::cache::ResultCache;
 use crate::harness::{Harness, HarnessBuilder};
 use crate::stability::{StabilityConfig, StabilityReport};
 use crate::transplant::{sample_failures, Incident, Provision, SuiteRunSummary};
@@ -11,6 +11,7 @@ use squality_engine::{ClientKind, Coverage, EngineDialect, PlanCache, PlanCacheS
 use squality_formats::SuiteKind;
 use squality_runner::{
     normalize_error, DependencyClass, IncompatibilityClass, Outcome, ReuseDifficulty, RunObserver,
+    StoreStats,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -194,7 +195,7 @@ pub struct Study {
     /// Result-cache counters for the whole study (all zero when the study
     /// ran without a cache): how many per-file executions were replayed
     /// from disk instead of re-run.
-    pub result_cache: CacheStats,
+    pub result_cache: StoreStats,
     /// Backend fault counters summed over every cell (all zero when the
     /// study ran in-process): worker crashes, deadline kills, protocol
     /// errors, and the restarts that contained them.

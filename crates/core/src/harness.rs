@@ -28,8 +28,8 @@ use squality_engine::{
 use squality_formats::{file_content_hash, SuiteKind, TestFile};
 use squality_runner::{
     emit_suite_finished, replay_file_events, Connector, EngineConnector, EngineConnectorFactory,
-    FanoutObserver, NumericMode, RunEvent, RunObserver, Runner, RunnerOptions, TranslationCounts,
-    TranslationMode,
+    FanoutObserver, NumericMode, Provisionable, RunEvent, RunObserver, Runner, RunnerOptions,
+    TranslationCounts, TranslationMode,
 };
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -409,8 +409,9 @@ impl<'a> Harness<'a> {
         }
     }
 
-    /// Apply the configured provision level to a freshly-reset connection.
-    fn provision_conn(&self, conn: &mut EngineConnector) {
+    /// Apply the configured provision level to a freshly-reset connection,
+    /// in-process or subprocess.
+    fn provision_conn(&self, conn: &mut impl Provisionable) {
         let Some(env) = self.resolved_environment() else { return };
         match self.provision {
             Provision::Full => env.provision(conn),
@@ -514,26 +515,6 @@ impl<'a> Harness<'a> {
         }
     }
 
-    /// Provision a subprocess connection the way [`Harness::provision_conn`]
-    /// provisions an in-process one.
-    fn provision_subprocess(&self, conn: &mut SubprocessConnector) {
-        let Some(env) = self.resolved_environment() else { return };
-        if matches!(self.provision, Provision::Bare) {
-            return;
-        }
-        for (path, lines) in &env.data_files {
-            conn.provide_file(path, lines.clone());
-        }
-        if matches!(self.provision, Provision::Full) {
-            for ext in &env.extensions {
-                conn.provide_extension(ext);
-            }
-        }
-        for sql in &env.setup_sql {
-            let _ = conn.execute(sql);
-        }
-    }
-
     /// Execute on out-of-process workers. The scheduler, runner, and
     /// event paths are the same as in-process — only the connector
     /// factory differs, which is the whole point of the redesign: a
@@ -568,7 +549,7 @@ impl<'a> Harness<'a> {
         let stats = factory.stats();
         let runner = self.runner();
         let files = self.source.files();
-        let prepare = |conn: &mut SubprocessConnector| self.provision_subprocess(conn);
+        let prepare = |conn: &mut SubprocessConnector| self.provision_conn(conn);
         let execution = if self.observers.is_empty() {
             runner.run_suite_with(&factory, files, self.workers, prepare)
         } else {

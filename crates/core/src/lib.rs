@@ -73,7 +73,7 @@ pub mod stability;
 pub mod transplant;
 pub mod triage;
 
-pub use cache::{CacheStats, CachedFileRun, CellSpec, FileKey, ResultCache, SCHEMA_VERSION};
+pub use cache::{CachedFileRun, CellSpec, FileKey, ResultCache, SCHEMA_VERSION};
 pub use experiments::{
     dependency_breakdown, difficulty_summary, incompatibility_breakdown, run_study,
     run_study_cached, run_study_with_observers, BugFinding, CoverageRow, MatrixCell, Study,
@@ -90,7 +90,7 @@ pub use report::{
     translation_table, triage_table,
 };
 pub use squality_backend::{BackendFaultBreakdown, BackendSpec};
-pub use squality_bugstore::{signature_key, BugArm, BugEntry, BugStore, BugStoreStats};
+pub use squality_bugstore::{signature_key, BugArm, BugEntry, BugStore};
 pub use stability::{
     annotate_study, stability_report, BugVerdict, ClusterVerdict, StabilityConfig, StabilityReport,
 };

@@ -23,7 +23,8 @@ use crate::harness::Harness;
 use crate::triage::{Arm, CellRef};
 use squality_backend::BackendSpec;
 use squality_bugstore::{BugArm, BugEntry, BugStore};
-use squality_formats::{parse_slt, ContentHasher, SltFlavor, TestFile};
+use squality_formats::{parse_slt, suite_tag, ContentHasher, SltFlavor, TestFile};
+use squality_runner::sigcodec::engine_dialect_tag;
 use squality_runner::{FailureSignature, Outcome, RunObserver, Stability};
 
 /// Replay parameters.
@@ -271,23 +272,6 @@ pub(crate) fn cell_of(entry: &BugEntry) -> CellRef {
 type GroupKey = (u8, u8, u8, u64);
 
 fn group_key(entry: &BugEntry) -> GroupKey {
-    let suite = match entry.suite {
-        squality_formats::SuiteKind::Slt => 0,
-        squality_formats::SuiteKind::Duckdb => 1,
-        squality_formats::SuiteKind::PgRegress => 2,
-        squality_formats::SuiteKind::MysqlTest => 3,
-    };
-    let host = match entry.host {
-        squality_engine::EngineDialect::Sqlite => 0,
-        squality_engine::EngineDialect::Postgres => 1,
-        squality_engine::EngineDialect::Duckdb => 2,
-        squality_engine::EngineDialect::Mysql => 3,
-    };
-    let arm = match entry.arm {
-        BugArm::DonorBare => 0,
-        BugArm::Verbatim => 1,
-        BugArm::Translated => 2,
-    };
     let env = &entry.environment;
     let mut h = ContentHasher::new();
     h.write_usize(env.data_files.len());
@@ -306,7 +290,7 @@ fn group_key(entry: &BugEntry) -> GroupKey {
     for sql in &env.setup_sql {
         h.write_str(sql);
     }
-    (suite, host, arm, h.finish())
+    (suite_tag(entry.suite), engine_dialect_tag(entry.host), entry.arm.tag(), h.finish())
 }
 
 #[cfg(test)]

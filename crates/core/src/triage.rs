@@ -1344,4 +1344,28 @@ mod tests {
         let _ = ddmin(&candidates, &mut |s| s.len() >= 60, &mut budget);
         assert_eq!(budget, 0);
     }
+
+    #[test]
+    fn reduce_file_finds_a_dependency_hidden_behind_a_variable() {
+        // `CREATE TABLE ${d}` creates `dep` through a variable, which the
+        // slicer's textual def-use scan cannot see. The `DROP TABLE dep`
+        // expects an error but succeeds (ExpectedErrorButOk) only when the
+        // hidden CREATE runs, so ddmin must search 32 records for it.
+        let mut text = String::from("set d dep\n\n");
+        for i in 1..32 {
+            text.push_str(&match i {
+                8 => "statement ok\nCREATE TABLE ${d}(a INTEGER)\n\n".to_string(),
+                24 => "statement error\nDROP TABLE dep\n\n".to_string(),
+                i if i % 3 == 0 => format!("statement ok\nCREATE TABLE noise{i}(a INTEGER)\n\n"),
+                i if i % 3 == 1 => format!("statement ok\nSELECT {i}\n\n"),
+                i => format!("query I nosort\nSELECT {i}\n----\n{i}\n\n"),
+            });
+        }
+        let file = parse_slt("hidden-dependency.test", &text, SltFlavor::Duckdb);
+        let r = reduce_file(&file, SuiteKind::Slt, EngineDialect::Sqlite, 256).unwrap();
+        // The failing DROP, the hidden CREATE, and the `set` it pulls in.
+        assert_eq!(r.reduced_records, 3, "reduced to {} records", r.reduced_records);
+        assert!(r.probes > 3, "quick win should be impossible: {} probes", r.probes);
+        assert_eq!(&*r.signature.statement, "DROP TABLE");
+    }
 }

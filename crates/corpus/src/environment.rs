@@ -9,7 +9,7 @@
 
 use squality_engine::{ClientKind, EngineDialect, FaultProfile};
 use squality_formats::SuiteKind;
-use squality_runner::EngineConnector;
+use squality_runner::{EngineConnector, Provisionable};
 
 /// Environment state a donor suite assumes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -55,10 +55,11 @@ impl DonorEnvironment {
         }
     }
 
-    /// Provision a freshly-reset connector with this environment. Set-up
-    /// statements that the target dialect rejects are skipped, matching a
-    /// porting engineer copying what applies.
-    pub fn provision(&self, conn: &mut EngineConnector) {
+    /// Provision a freshly-reset connection, in-process or subprocess,
+    /// with this environment. Set-up statements that the target dialect
+    /// rejects are skipped, matching a porting engineer copying what
+    /// applies.
+    pub fn provision(&self, conn: &mut impl Provisionable) {
         for (path, lines) in &self.data_files {
             conn.provide_file(path, lines.clone());
         }

@@ -90,13 +90,20 @@ impl ContentHasher {
     }
 }
 
-fn suite_tag(kind: SuiteKind) -> u8 {
+/// The one-byte tag a [`SuiteKind`] is hashed and stored as: the single
+/// mapping behind content hashes, cell hashes and bug-store entries.
+pub fn suite_tag(kind: SuiteKind) -> u8 {
     match kind {
         SuiteKind::Slt => 0,
         SuiteKind::Duckdb => 1,
         SuiteKind::PgRegress => 2,
         SuiteKind::MysqlTest => 3,
     }
+}
+
+/// Invert [`suite_tag`] from its decimal text.
+pub fn parse_suite_tag(tag: &str) -> Option<SuiteKind> {
+    SuiteKind::ALL.into_iter().find(|&kind| suite_tag(kind).to_string() == tag)
 }
 
 fn hash_records(h: &mut ContentHasher, records: &[TestRecord]) {

@@ -24,7 +24,7 @@ pub mod slt;
 pub mod writer;
 
 pub use commands::{command_count, feature_matrix, FeatureSupport};
-pub use hash::{file_content_hash, ContentHasher};
+pub use hash::{file_content_hash, parse_suite_tag, suite_tag, ContentHasher};
 pub use ir::{
     result_hash, Condition, ControlCommand, QueryExpectation, RecordId, RecordKind, SortMode,
     StatementExpect, SuiteKind, TestFile, TestRecord,

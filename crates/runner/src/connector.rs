@@ -270,6 +270,25 @@ impl Provisioned {
     }
 }
 
+/// A connection that also takes a donor environment's data files and
+/// extensions, so one provisioning routine serves the in-process
+/// [`EngineConnector`] and the subprocess backend's connector alike.
+pub trait Provisionable: Connector {
+    /// Register a data file visible to COPY, surviving resets.
+    fn provide_file(&mut self, path: &str, lines: Vec<String>);
+    /// Register an available extension, surviving resets.
+    fn provide_extension(&mut self, name: &str);
+}
+
+impl Provisionable for EngineConnector {
+    fn provide_file(&mut self, path: &str, lines: Vec<String>) {
+        EngineConnector::provide_file(self, path, lines);
+    }
+    fn provide_extension(&mut self, name: &str) {
+        EngineConnector::provide_extension(self, name);
+    }
+}
+
 /// The lowercase engine name a dialect goes by in skipif/onlyif
 /// conditions — the single source for both condition matching
 /// ([`Connector::engine_name`]) and event metadata. Shared with the

@@ -17,7 +17,9 @@
 //! * [`classify`] — the RQ3 dependency and RQ4 incompatibility taxonomies
 //!   (Tables 5 and 6),
 //! * [`sigcodec`] — the shared on-disk codec for persisted
-//!   [`FailureSignature`]s (result cache and bug store), and
+//!   [`FailureSignature`]s (result cache and bug store),
+//! * [`store`] — the versioned, atomically written entry directory both
+//!   of those stores sit on, and
 //! * [`outcome`] — per-record and per-file result accounting, with crashes
 //!   and hangs tracked separately like the paper's Figure 4.
 
@@ -28,6 +30,7 @@ pub mod outcome;
 pub mod runner;
 pub mod scheduler;
 pub mod sigcodec;
+pub mod store;
 pub mod validate;
 
 pub use classify::{
@@ -37,7 +40,7 @@ pub use classify::{
 };
 pub use connector::{
     client_result_error, engine_info, engine_token, Connector, ConnectorError, ConnectorFactory,
-    EngineConnector, EngineConnectorFactory, FnFactory, Provisioned, TransportError,
+    EngineConnector, EngineConnectorFactory, FnFactory, Provisionable, Provisioned, TransportError,
     TransportErrorKind,
 };
 pub use events::{
@@ -51,4 +54,5 @@ pub use sigcodec::{decode_signature, encode_signature};
 pub use squality_sqlast::translate::{
     TranslationCache, TranslationCounts, TranslationRule, TranslationStats,
 };
+pub use store::{Store, StoreStats};
 pub use validate::{validate_query, values_equal, NumericMode, Verdict};

@@ -6,7 +6,8 @@
 //! both must decode byte-exactly what they encoded — a signature is a
 //! clustering key, so a lossy round trip silently splits or merges
 //! clusters. This module is the single owner of that wire format: the
-//! escaping rules, the enum spellings, and the one-line signature layout.
+//! escaping rules, the enum spellings, the numeric dialect tags, and the
+//! one-line signature layout.
 //!
 //! A signature encodes to exactly one line (no trailing newline) of three
 //! tab-separated fields:
@@ -24,8 +25,9 @@ use crate::classify::{
     DependencyClass, FailureSignature, IncompatibilityClass, PerturbationAxis, Stability,
 };
 use crate::outcome::FailKind;
-use squality_engine::ErrorKind;
+use squality_engine::{EngineDialect, ErrorKind};
 use squality_sqlast::translate::TranslationCounts;
+use squality_sqltext::TextDialect;
 
 /// Escape a free-form string for embedding in a line-oriented entry:
 /// backslash, newline, carriage return, and tab become two-character
@@ -131,6 +133,38 @@ pub fn parse_incompatibility(s: &str) -> Option<IncompatibilityClass> {
         "Misc" => IncompatibilityClass::Misc,
         _ => return None,
     })
+}
+
+/// The one-byte tag an [`EngineDialect`] is stored and grouped as.
+pub fn engine_dialect_tag(dialect: EngineDialect) -> u8 {
+    match dialect {
+        EngineDialect::Sqlite => 0,
+        EngineDialect::Postgres => 1,
+        EngineDialect::Duckdb => 2,
+        EngineDialect::Mysql => 3,
+    }
+}
+
+/// Invert [`engine_dialect_tag`] from its decimal text.
+pub fn parse_engine_dialect(tag: &str) -> Option<EngineDialect> {
+    EngineDialect::ALL.into_iter().find(|&d| engine_dialect_tag(d).to_string() == tag)
+}
+
+/// The one-byte tag a [`TextDialect`] is stored and hashed as (the
+/// translation mode's dialect pair).
+pub fn text_dialect_tag(dialect: TextDialect) -> u8 {
+    match dialect {
+        TextDialect::Sqlite => 0,
+        TextDialect::Postgres => 1,
+        TextDialect::Duckdb => 2,
+        TextDialect::Mysql => 3,
+        TextDialect::Generic => 4,
+    }
+}
+
+/// Invert [`text_dialect_tag`] from its decimal text.
+pub fn parse_text_dialect(tag: &str) -> Option<TextDialect> {
+    TextDialect::ALL.into_iter().find(|&d| text_dialect_tag(d).to_string() == tag)
 }
 
 fn encode_stability(stability: &Option<Stability>) -> String {
@@ -320,6 +354,20 @@ mod tests {
             decode_signature("WrongResult - Runner Semantic - extra\tx\ty").is_none(),
             "extra head field"
         );
+    }
+
+    #[test]
+    fn dialect_tags_roundtrip_and_reject_unknown_text() {
+        for d in EngineDialect::ALL {
+            assert_eq!(parse_engine_dialect(&engine_dialect_tag(d).to_string()), Some(d));
+        }
+        for d in TextDialect::ALL {
+            assert_eq!(parse_text_dialect(&text_dialect_tag(d).to_string()), Some(d));
+        }
+        for bad in ["", "4", "01", "+1", "x"] {
+            assert_eq!(parse_engine_dialect(bad), None, "{bad:?}");
+        }
+        assert_eq!(parse_text_dialect("5"), None);
     }
 
     #[test]
