@@ -7,7 +7,6 @@
 //!                 [--cache] [--cache-dir DIR] [--no-cache]
 //!                 [--reduce] [--out DIR] [--max-probes N] [--store DIR]
 //!                 [--reruns N] [--fault-schedules]
-//!                 [--bench-rows N,M] [--bench-samples K] [--bench-out PATH]
 //! sections: table1 figure1 table2 figure2 table3 figure3 table4 table5
 //!           figure4 table6 table7 table8 translation bugs all (default: all)
 //!           triage (signature clustering [+ --reduce ddmin repros → --out]
@@ -15,7 +14,6 @@
 //!           stability (flakiness arm: --reruns baseline re-executions +
 //!                      perturbation probes per failure cluster and bug;
 //!                      table also written to --out/stability.txt)
-//!           bench-engine (hot-path + DML throughput perf → BENCH_engine.json)
 //! squality-tables cache stats|clear [--cache-dir DIR]
 //! squality-tables bugs list|show KEY|replay|import DIR|gc [--store DIR]
 //! ```
@@ -63,18 +61,14 @@
 //! count), `import DIR` merges entries from another store, and `gc`
 //! drops entries minimized under a stale semantics version.
 //!
-//! `bench-engine` measures the execution-core hot paths (grouping,
-//! DISTINCT, equi-join, set-ops) and sustained DML throughput under both
-//! executor strategies, and writes the numbers to `--bench-out` (default
-//! `BENCH_engine.json`). Study, cache and triage timings are perfbench's
-//! job (`perfbench/`).
-//!
 //! `--cache` replays study cells from the content-addressed result cache
 //! (default `.squality-cache/`, override with `--cache-dir`): a repeated
 //! run skips every unchanged file and produces byte-identical tables and
 //! event logs. `cache stats` / `cache clear` introspect the store.
+//!
+//! Timings are not this binary's job: the repository benchmark is
+//! `python3 perfbench/run.py` (see `perfbench/README.md`).
 
-use squality_bench::ensure_parent_dir;
 use squality_core::triage::{triage_study_with_observers, TriageConfig};
 use squality_core::{
     bug_store_table, replay_store_with_observers, replay_table, run_study_cached, stability_table,
@@ -87,9 +81,12 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// The default `--scale`: the full report.
+const REPORT_SCALE: f64 = 0.25;
+
 fn main() {
     let mut sections: Vec<String> = Vec::new();
-    let mut scale = squality_bench::REPORT_SCALE;
+    let mut scale = REPORT_SCALE;
     let mut seed = 0x5C0A11u64;
     let mut workers = 0usize;
     let mut events_path: Option<String> = None;
@@ -100,9 +97,6 @@ fn main() {
     let mut reruns = 3usize;
     let mut fault_schedules = false;
     let mut backend_deadline_ms: Option<u64> = None;
-    let mut bench_rows: Vec<usize> = vec![1_000, 10_000];
-    let mut bench_samples = 7usize;
-    let mut bench_out = "BENCH_engine.json".to_string();
     let mut use_cache = false;
     let mut cache_dir: Option<PathBuf> = None;
     let mut store_dir: Option<PathBuf> = None;
@@ -184,22 +178,6 @@ fn main() {
                     )),
                 };
             }
-            "--bench-rows" => {
-                let spec = args.next().unwrap_or_else(|| usage("missing value for --bench-rows"));
-                bench_rows = spec.split(',').filter_map(|v| v.trim().parse().ok()).collect();
-                if bench_rows.is_empty() {
-                    usage("--bench-rows needs a comma-separated list of row counts");
-                }
-            }
-            "--bench-samples" => {
-                bench_samples = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("missing value for --bench-samples"));
-            }
-            "--bench-out" => {
-                bench_out = args.next().unwrap_or_else(|| usage("missing value for --bench-out"));
-            }
             "--help" | "-h" => usage(""),
             s if s.starts_with('-') && !s.starts_with("--") && s.parse::<f64>().is_err() => {
                 usage(&format!("unknown flag {s}"))
@@ -253,15 +231,6 @@ fn main() {
             )),
         }
         return;
-    }
-
-    // The engine hot-path bench runs standalone (no study needed).
-    if sections.iter().any(|s| s == "bench-engine") {
-        sections.retain(|s| s != "bench-engine");
-        run_bench_engine(&bench_rows, bench_samples, &bench_out);
-        if sections.is_empty() {
-            return;
-        }
     }
 
     // The translated arm doubles matrix execution; only pay for it when a
@@ -472,6 +441,16 @@ fn print_section(study: &Study, section: &str) {
     println!("{text}");
 }
 
+/// Create the parent directory of an output-file path when it is
+/// missing, so a flag like `--events deep/nested/run.jsonl` works on a
+/// fresh checkout. A bare filename (no parent component) is a no-op.
+fn ensure_parent_dir(path: &Path) -> std::io::Result<()> {
+    match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => std::fs::create_dir_all(parent),
+        _ => Ok(()),
+    }
+}
+
 /// Open the `--events` JSONL log, creating missing parent directories so
 /// a nested path works on a fresh checkout.
 fn open_events_log(path: &str) -> JsonlObserver {
@@ -606,59 +585,6 @@ fn cache_clear(root: &std::path::Path) {
     println!("cleared {entries} entries ({bytes} bytes) from {}", root.display());
 }
 
-fn run_bench_engine(rows: &[usize], samples: usize, out_path: &str) {
-    use squality_bench::hot_paths::{render_json, run_comparison};
-    use squality_bench::throughput::run_throughput;
-    eprintln!(
-        "measuring engine hot paths (rows: {rows:?}, {samples} samples/case, both strategies)..."
-    );
-    let results = run_comparison(rows, samples);
-    println!(
-        "{:<20} {:>8} {:>16} {:>16} {:>9}",
-        "case", "rows", "naive median ms", "hash median ms", "speedup"
-    );
-    for r in &results {
-        println!(
-            "{:<20} {:>8} {:>16.3} {:>16.3} {:>8.1}x",
-            r.case,
-            r.rows,
-            r.naive_median_ns / 1e6,
-            r.hash_median_ns / 1e6,
-            r.speedup()
-        );
-    }
-    // Sustained ingestion: statements/sec over the flood workloads (full
-    // parse → plan-cache → execute pipeline, both strategies, with the
-    // naive arm checked as a differential oracle first).
-    eprintln!("measuring sustained DML throughput (flood workloads, both strategies)...");
-    let throughput = run_throughput(rows, samples);
-    println!(
-        "{:<20} {:>8} {:>8} {:>12} {:>12} {:>9}",
-        "workload", "rows", "stmts", "naive s/s", "indexed s/s", "speedup"
-    );
-    for t in &throughput {
-        println!(
-            "{:<20} {:>8} {:>8} {:>12.0} {:>12.0} {:>8.1}x",
-            t.workload,
-            t.rows,
-            t.statements,
-            t.naive_sps,
-            t.indexed_sps,
-            t.speedup()
-        );
-    }
-    let json = render_json(&results, &throughput);
-    if let Err(e) = ensure_parent_dir(Path::new(out_path)) {
-        eprintln!("error: cannot create output directory for {out_path}: {e}");
-        std::process::exit(1);
-    }
-    if let Err(e) = std::fs::write(out_path, &json) {
-        eprintln!("error: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out_path}");
-}
-
 fn usage(msg: &str) -> ! {
     if !msg.is_empty() {
         eprintln!("error: {msg}");
@@ -670,11 +596,32 @@ fn usage(msg: &str) -> ! {
          \x20                      [--cache] [--cache-dir DIR] [--no-cache]\n\
          \x20                      [--reduce] [--out DIR] [--max-probes N] [--store DIR]\n\
          \x20                      [--reruns N] [--fault-schedules]\n\
-         \x20                      [--bench-rows N,M] [--bench-samples K] [--bench-out PATH]\n\
          \x20      squality-tables cache stats|clear [--cache-dir DIR]\n\
          \x20      squality-tables bugs list|show KEY|replay|import DIR|gc [--store DIR]\n\
          sections: table1..table8, figure1..figure4, translation, bugs, all, triage,\n\
-         \x20         stability, bench-engine"
+         \x20         stability"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ensure_parent_dir;
+    use std::path::Path;
+
+    #[test]
+    fn ensure_parent_dir_creates_nested_dirs_and_tolerates_bare_names() {
+        let root =
+            std::env::temp_dir().join(format!("squality-ensure-parent-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let target = root.join("a/b/c/out.json");
+        ensure_parent_dir(&target).expect("create nested parents");
+        assert!(target.parent().unwrap().is_dir());
+        std::fs::write(&target, "x").expect("write into created dir");
+        // Re-running against an existing tree and against bare filenames
+        // must both be no-ops.
+        ensure_parent_dir(&target).expect("idempotent");
+        ensure_parent_dir(Path::new("bare-file.json")).expect("no parent component");
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }

@@ -1,10 +1,10 @@
 //! Fuzzer-throughput flood workloads.
 //!
 //! "Scaling Automated Database System Testing" argues the decisive factor
-//! for reused/generated suites is raw feedback-loop throughput; these
-//! workloads are the macro-benchmark side of that argument. Each one is a
-//! deterministic (seeded) stream of raw SQL statements shaped like the
-//! ingestion-heavy parts of donor suites and generated corpora:
+//! for reused/generated suites is raw feedback-loop throughput. Each
+//! workload here is a deterministic (seeded) stream of raw SQL statements
+//! shaped like the ingestion-heavy parts of donor suites and generated
+//! corpora:
 //!
 //! * [`insert_flood`] — the O(n²) killer: n rows into a UNIQUE/PK table,
 //!   emitted as multi-row `VALUES` lists, where every row pays a
@@ -15,8 +15,11 @@
 //!   thousands of times, the shape SLT loops expand to, where the plan
 //!   cache should absorb all parsing.
 //!
-//! Workloads deliberately emit *statement text*, not ASTs: the throughput
-//! harness measures the full parse → plan-cache → execute pipeline.
+//! Workloads deliberately emit *statement text*, not ASTs, so they drive
+//! the full parse → plan-cache → execute pipeline. The tests below run
+//! every stream under both [`ExecStrategy`](squality_engine::ExecStrategy)
+//! arms and demand identical per-statement outcomes: the naive executor is
+//! the oracle for the indexed DML paths at hundreds of rows.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -24,7 +27,7 @@ use rand::{Rng, SeedableRng};
 /// A flood workload: setup DDL plus the measured statement stream.
 #[derive(Debug, Clone)]
 pub struct FloodWorkload {
-    /// Stable workload name (used in BENCH_engine.json).
+    /// Stable workload name.
     pub name: &'static str,
     /// Unmeasured preparation statements (DDL, initial population).
     pub setup: Vec<String>,
@@ -130,8 +133,7 @@ pub fn loop_heavy(rows: usize, seed: u64) -> FloodWorkload {
     }
 }
 
-/// The full flood profile at one scale: every workload the `throughput`
-/// bench section reports.
+/// The full flood profile at one scale: every workload above.
 pub fn flood_workloads(rows: usize, seed: u64) -> Vec<FloodWorkload> {
     vec![insert_flood(rows, 8, seed), mixed_dml(rows, seed), loop_heavy(rows, seed)]
 }
@@ -139,6 +141,35 @@ pub fn flood_workloads(rows: usize, seed: u64) -> Vec<FloodWorkload> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use squality_engine::{Engine, EngineDialect, ExecStrategy, PlanCache};
+
+    /// Fresh engine with the workload's setup applied and a shared plan
+    /// cache, the shape the study runner uses. The step budget is lifted
+    /// so the naive arm's O(rows) constraint scans run to completion
+    /// instead of being reported as hangs.
+    fn prepare(workload: &FloodWorkload, strategy: ExecStrategy) -> Engine {
+        let mut e = Engine::new(EngineDialect::Sqlite);
+        e.set_step_budget(u64::MAX);
+        e.set_exec_strategy(strategy);
+        e.set_plan_cache(PlanCache::shared());
+        for sql in &workload.setup {
+            e.execute(sql).expect("flood setup statement");
+        }
+        e
+    }
+
+    #[test]
+    fn strategies_agree_on_every_flood_workload() {
+        for w in flood_workloads(400, 0x5147_4c46) {
+            let mut naive = prepare(&w, ExecStrategy::Naive);
+            let mut hash = prepare(&w, ExecStrategy::Hash);
+            for (i, sql) in w.statements.iter().enumerate() {
+                let a = format!("{:?}", naive.execute(sql));
+                let b = format!("{:?}", hash.execute(sql));
+                assert_eq!(a, b, "strategy divergence in {} at statement {i}: {sql}", w.name);
+            }
+        }
+    }
 
     #[test]
     fn insert_flood_is_deterministic_and_covers_every_key() {

@@ -82,16 +82,6 @@ impl Coverage {
         }
     }
 
-    /// Clear hit bits, keeping the registered universe.
-    pub fn reset_hits(&mut self) {
-        for v in self.lines.values_mut() {
-            *v = false;
-        }
-        for v in self.branches.values_mut() {
-            *v = false;
-        }
-    }
-
     /// Iterate feature points as `(point, hit)`, in sorted order. The
     /// study result cache serializes recorders through these entry
     /// iterators and rebuilds them with [`set_line`](Coverage::set_line) /
@@ -166,14 +156,5 @@ mod tests {
         a.union_with(&b);
         assert!(a.line_ratio() >= before);
         assert_eq!(a.line_counts(), (2, 2));
-    }
-
-    #[test]
-    fn reset_keeps_universe() {
-        let mut c = Coverage::new();
-        c.register_line("a");
-        c.hit_line("a");
-        c.reset_hits();
-        assert_eq!(c.line_counts(), (0, 1));
     }
 }

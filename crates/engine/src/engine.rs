@@ -92,7 +92,7 @@ pub struct Engine {
     crashed: bool,
     step_budget: u64,
     /// Executor algorithm selection; `Naive` replays the pre-hash paths
-    /// (the differential oracle and benchmark baseline).
+    /// (the differential oracle).
     exec_strategy: ExecStrategy,
     /// Shared parse cache; `None` parses every statement from scratch.
     plan_cache: Option<Arc<PlanCache>>,
@@ -106,9 +106,15 @@ impl Engine {
 
     /// New engine with an explicit fault profile.
     pub fn with_faults(dialect: EngineDialect, faults: FaultProfile) -> Engine {
+        Engine::with_coverage(dialect, faults, Engine::coverage_universe(dialect))
+    }
+
+    /// The coverage recorder a fresh engine of `dialect` starts with: the
+    /// dialect's fixed universe of feature and decision points, none hit.
+    pub fn coverage_universe(dialect: EngineDialect) -> Coverage {
         let mut coverage = Coverage::new();
         register_coverage_universe(&mut coverage, dialect);
-        Engine::with_coverage(dialect, faults, coverage)
+        coverage
     }
 
     /// New engine that keeps accumulating into `coverage`, the recorder of
@@ -147,8 +153,7 @@ impl Engine {
 
     /// Select the executor algorithms (hash-based vs the retained naive
     /// oracle). Both strategies are required to produce byte-identical
-    /// results; `Naive` exists for differential testing and as the
-    /// benchmark baseline.
+    /// results; `Naive` exists for differential testing.
     pub fn set_exec_strategy(&mut self, strategy: ExecStrategy) {
         self.exec_strategy = strategy;
     }

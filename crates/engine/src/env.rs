@@ -16,7 +16,7 @@ use std::collections::BTreeSet;
 /// `Hash` is the production default. `Naive` replays the original
 /// linear-scan / nested-loop implementations; it is retained as the
 /// differential-testing oracle (the two must produce byte-identical
-/// results) and as the "before" arm of the `engine_hot_paths` benchmark.
+/// results).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecStrategy {
     /// Hash-based grouping/dedup/set-ops and build–probe equi-joins.

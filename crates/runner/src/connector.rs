@@ -414,14 +414,16 @@ impl EngineConnector {
     }
 
     /// Open a coverage capture window: park the coverage accumulated so
-    /// far and clear the hit bits, so everything hit until
+    /// far and start recording into the dialect's fresh, unhit universe,
+    /// so everything hit until
     /// [`end_coverage_capture`](EngineConnector::end_coverage_capture) is
     /// attributable to the window alone. The study result cache uses this
-    /// to record *per-file* coverage deltas alongside results.
+    /// to record *per-file* coverage deltas alongside results. A window
+    /// never sees points that earlier files on this connector
+    /// auto-registered, so it is the same whichever files ran before it.
     pub fn begin_coverage_capture(&mut self) {
-        let parked = self.engine.coverage().clone();
-        self.engine.coverage_mut().reset_hits();
-        self.parked_coverage = Some(parked);
+        let window = Engine::coverage_universe(self.engine.dialect());
+        self.parked_coverage = Some(std::mem::replace(self.engine.coverage_mut(), window));
     }
 
     /// Close the capture window: return the coverage hit inside it
@@ -549,6 +551,23 @@ impl Connector for EngineConnector {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn coverage_window_is_independent_of_earlier_statements() {
+        // `SELECT -1` hits a point outside the registered universe, which
+        // auto-registers it in the connector's recorder. A window opened
+        // afterwards must not carry it along.
+        let window = |earlier: Option<&str>| {
+            let mut conn = EngineConnector::new(EngineDialect::Sqlite, ClientKind::Cli);
+            if let Some(sql) = earlier {
+                conn.execute(sql).expect("earlier statement");
+            }
+            conn.begin_coverage_capture();
+            conn.execute("SELECT 1").expect("windowed statement");
+            conn.end_coverage_capture()
+        };
+        assert_eq!(window(Some("SELECT -1")), window(None));
+    }
 
     #[test]
     fn engine_names_match_slt_conditions() {
