@@ -27,9 +27,9 @@ use squality_engine::{
 };
 use squality_formats::{file_content_hash, SuiteKind, TestFile};
 use squality_runner::{
-    emit_suite_finished, replay_file_events, Connector, EngineConnector, EngineConnectorFactory,
-    FanoutObserver, NumericMode, Provisionable, RunEvent, RunObserver, Runner, RunnerOptions,
-    TranslationCounts, TranslationMode,
+    emit_suite_finished, replay_file_events, Connector, ConnectorFactory, EngineConnector,
+    EngineConnectorFactory, FanoutObserver, NumericMode, Provisionable, RunEvent, RunObserver,
+    Runner, RunnerOptions, TranslationCounts, TranslationMode,
 };
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -475,19 +475,30 @@ impl<'a> Harness<'a> {
     pub fn run(&self) -> Run {
         let mut run = if matches!(self.backend, BackendSpec::Subprocess { .. }) {
             // Subprocess runs are never cached: their point is observing
-            // live process faults.
-            self.run_subprocess()
-        } else if self.stability.is_some() {
+            // live process faults. Each worker process reports the
+            // coverage it reached; a worker that died contributes only
+            // what its restarted successor reached.
+            let factory = self.subprocess_factory();
+            let mut run =
+                self.execute(&factory, None, |conn: &mut SubprocessConnector| conn.coverage());
+            run.backend_faults = Some(factory.stats().snapshot());
+            run
+        } else {
             // Stability runs are never cached either (satellite of the
             // same contract): a warm cache must not replay stale
             // verdicts, so the run executes live and the rerun arm
             // probes live too.
-            self.run_uncached()
-        } else {
-            match &self.result_cache {
-                Some(cache) => self.run_cached(Arc::clone(cache)),
-                None => self.run_uncached(),
-            }
+            let capture =
+                self.result_cache.as_deref().filter(|_| self.stability.is_none()).map(|cache| {
+                    Capture {
+                        cache,
+                        begin: EngineConnector::begin_coverage_capture,
+                        end: EngineConnector::end_coverage_capture,
+                    }
+                });
+            self.execute(&self.factory(), capture, |conn: &mut EngineConnector| {
+                std::mem::take(conn.engine_mut().coverage_mut())
+            })
         };
         if let Some(config) = &self.stability {
             crate::stability::annotate_summary(
@@ -515,14 +526,13 @@ impl<'a> Harness<'a> {
         }
     }
 
-    /// Execute on out-of-process workers. The scheduler, runner, and
-    /// event paths are the same as in-process — only the connector
-    /// factory differs, which is the whole point of the redesign: a
-    /// worker process dying mid-file surfaces as transport faults in the
-    /// results, and the suite keeps going.
-    fn run_subprocess(&self) -> Run {
+    /// The out-of-process connector factory. The scheduler, runner, and
+    /// event paths are the same as in-process — only the factory differs:
+    /// a worker process dying mid-file surfaces as transport faults in
+    /// the results, and the suite keeps going.
+    fn subprocess_factory(&self) -> SubprocessConnectorFactory {
         let BackendSpec::Subprocess { bin, deadline, max_restarts } = &self.backend else {
-            unreachable!("run_subprocess is only called for subprocess backends");
+            unreachable!("subprocess_factory is only called for subprocess backends");
         };
         let bin = bin
             .clone()
@@ -546,131 +556,126 @@ impl<'a> Harness<'a> {
         for (key, value) in &self.backend_env {
             factory = factory.env(key, value);
         }
-        let stats = factory.stats();
-        let runner = self.runner();
-        let files = self.source.files();
-        let prepare = |conn: &mut SubprocessConnector| self.provision_conn(conn);
-        let execution = if self.observers.is_empty() {
-            runner.run_suite_with(&factory, files, self.workers, prepare)
-        } else {
-            let fanout = FanoutObserver(&self.observers);
-            runner.run_suite_observed(&factory, files, self.workers, &self.label, prepare, &fanout)
-        };
-        let mut summary = summarize(self.source.kind(), self.host, &execution.results);
-        summary.translation = runner.translation_stats.counts();
-        let coverage = union_all(execution.connectors.into_iter().map(|mut conn| conn.coverage()));
-        Run { summary, coverage, backend_faults: Some(stats.snapshot()) }
+        factory
     }
 
-    fn run_uncached(&self) -> Run {
-        let factory = self.factory();
-        let runner = self.runner();
-        let files = self.source.files();
-        let prepare = |conn: &mut EngineConnector| self.provision_conn(conn);
-        let execution = if self.observers.is_empty() {
-            runner.run_suite_with(&factory, files, self.workers, prepare)
-        } else {
-            let fanout = FanoutObserver(&self.observers);
-            runner.run_suite_observed(&factory, files, self.workers, &self.label, prepare, &fanout)
-        };
-        let mut summary = summarize(self.source.kind(), self.host, &execution.results);
-        summary.translation = runner.translation_stats.counts();
-        let coverage = union_all(
-            execution
-                .connectors
-                .into_iter()
-                .map(|mut conn| std::mem::take(conn.engine_mut().coverage_mut())),
-        );
-        Run { summary, coverage, backend_faults: None }
-    }
-
-    /// The cache-aware execution path: replay hits, execute only stale
-    /// files (recording per-file results, translation deltas, and
-    /// coverage for storage), and stitch everything back in input order.
+    /// The one execution path behind [`Harness::run`]: emit the suite
+    /// events, replay cache hits, run the stale files through
+    /// [`Runner::run_files`], and stitch everything back in input order.
     ///
-    /// Suite-level events are always emitted live — only per-file event
-    /// blocks replay — and the [`JsonlObserver`](squality_runner::JsonlObserver)
-    /// orders blocks by input index, so the log is byte-identical to a
-    /// cold run's whatever mix of hits and misses occurred. Summary
-    /// translation counters are summed from per-file deltas, which equals
-    /// the shared-counter total of an uncached run because counters record
-    /// per execution.
-    fn run_cached(&self, cache: Arc<ResultCache>) -> Run {
+    /// Without a `capture` every file is stale. With one, files whose key
+    /// the cache holds replay their event blocks and stored coverage
+    /// windows, and each stale file runs inside a coverage window opened
+    /// before provisioning (so provision hits are captured too) and
+    /// stored with its result. Suite-level events are always emitted
+    /// live, and the [`JsonlObserver`](squality_runner::JsonlObserver)
+    /// orders file blocks by input index, so the log is byte-identical
+    /// whatever mix of hits and misses occurred. Summary translation
+    /// counters are summed from per-file deltas, which equals one shared
+    /// counter set's total because counters record per execution.
+    ///
+    /// `coverage_of` empties a retired connection's coverage recorder. A
+    /// closed window unions back into its connection's recorder, so the
+    /// union of hit windows and retired recorders equals an uncached
+    /// run's coverage.
+    fn execute<F>(
+        &self,
+        factory: &F,
+        capture: Option<Capture<'_, F::Conn>>,
+        coverage_of: impl Fn(&mut F::Conn) -> Coverage,
+    ) -> Run
+    where
+        F: ConnectorFactory,
+        F::Conn: Provisionable,
+    {
         let started = std::time::Instant::now();
         let files = self.source.files();
-        let keys = self.file_keys();
         let fanout = FanoutObserver(&self.observers);
-        let observed = !self.observers.is_empty();
-        let factory = self.factory();
-        if observed {
-            let info = squality_runner::ConnectorFactory::info(&factory);
-            fanout.on_event(&RunEvent::SuiteStarted {
+        let observer = (!self.observers.is_empty()).then_some(&fanout as &dyn RunObserver);
+        if let Some(observer) = observer {
+            let info = factory.info();
+            observer.on_event(&RunEvent::SuiteStarted {
                 label: &self.label,
                 files: files.len(),
                 connector: &info,
             });
         }
 
-        let mut cached: Vec<Option<CachedFileRun>> = keys.iter().map(|k| cache.lookup(k)).collect();
-        let stale: Vec<(usize, &TestFile)> = cached
+        let keys = if capture.is_some() { self.file_keys() } else { Vec::new() };
+        let hits: Vec<Option<CachedFileRun>> = match &capture {
+            Some(capture) => keys.iter().map(|key| capture.cache.lookup(key)).collect(),
+            None => files.iter().map(|_| None).collect(),
+        };
+        let stale: Vec<(usize, &TestFile)> = hits
             .iter()
             .enumerate()
-            .filter(|(_, entry)| entry.is_none())
+            .filter(|(_, hit)| hit.is_none())
             .map(|(i, _)| (i, &files[i]))
             .collect();
-        if observed {
-            for (i, entry) in cached.iter().enumerate() {
-                if let Some(run) = entry {
-                    replay_file_events(&fanout, i, &run.result);
+        if let Some(observer) = observer {
+            for (i, hit) in hits.iter().enumerate() {
+                if let Some(hit) = hit {
+                    replay_file_events(observer, i, &hit.result);
                 }
             }
         }
 
-        if !stale.is_empty() {
-            let captured: Mutex<BTreeMap<usize, Coverage>> = Mutex::default();
-            let records = self.runner().run_files_recorded(
-                &factory,
-                &stale,
-                self.workers,
-                |conn: &mut EngineConnector| {
-                    // Open the per-file coverage window before provisioning
-                    // so provision hits are captured too — a cold run's
-                    // connector accumulates them the same way.
-                    conn.begin_coverage_capture();
-                    self.provision_conn(conn);
-                },
-                |conn: &mut EngineConnector, index: usize| {
-                    let window = conn.end_coverage_capture();
-                    captured.lock().expect("coverage capture poisoned").insert(index, window);
-                },
-                observed.then_some(&fanout as &dyn RunObserver),
-            );
-            let mut captured = captured.into_inner().expect("coverage capture poisoned");
-            for record in records {
-                let run = CachedFileRun {
-                    coverage: captured.remove(&record.index).unwrap_or_default(),
-                    result: record.result,
-                    translation: record.translation,
-                };
-                cache.store(&keys[record.index], &run);
-                cached[record.index] = Some(run);
-            }
-        }
+        let windows: Mutex<BTreeMap<usize, Coverage>> = Mutex::default();
+        let execution = self.runner().run_files(
+            factory,
+            &stale,
+            self.workers,
+            |conn: &mut F::Conn| {
+                if let Some(capture) = &capture {
+                    (capture.begin)(conn);
+                }
+                self.provision_conn(conn);
+            },
+            |conn: &mut F::Conn, index: usize| {
+                if let Some(capture) = &capture {
+                    let window = (capture.end)(conn);
+                    windows.lock().expect("coverage windows poisoned").insert(index, window);
+                }
+            },
+            observer,
+        );
+        let mut windows = windows.into_inner().expect("coverage windows poisoned");
 
-        // Every file now has an entry, replayed or fresh. The union of the
-        // per-file coverage windows equals a cold run's connector coverage.
+        // Move the first recorder rather than copying it into an empty one
+        // (most runs retire one or two connections).
+        let mut recorders = execution.connectors.into_iter().map(|mut conn| coverage_of(&mut conn));
+        let mut coverage = recorders.next().unwrap_or_default();
+        for recorder in recorders {
+            coverage.union_with(&recorder);
+        }
         let mut results = Vec::with_capacity(files.len());
         let mut translation = TranslationCounts::default();
-        let mut coverage = Coverage::new();
-        for run in cached {
-            let run = run.expect("scheduler ran every stale file");
+        let mut records = execution.records.into_iter();
+        for hit in hits {
+            let run = match hit {
+                Some(hit) => {
+                    coverage.union_with(&hit.coverage);
+                    hit
+                }
+                None => {
+                    let record = records.next().expect("scheduler ran every stale file");
+                    let run = CachedFileRun {
+                        coverage: windows.remove(&record.index).unwrap_or_default(),
+                        result: record.result,
+                        translation: record.translation,
+                    };
+                    if let Some(capture) = &capture {
+                        capture.cache.store(&keys[record.index], &run);
+                    }
+                    run
+                }
+            };
             translation.merge(&run.translation);
-            coverage.union_with(&run.coverage);
             results.push(run.result);
         }
-        if observed {
+        if let Some(observer) = observer {
             emit_suite_finished(
-                &fanout,
+                observer,
                 &self.label,
                 &results,
                 started.elapsed().as_nanos() as u64,
@@ -724,15 +729,12 @@ impl<'a> Harness<'a> {
     }
 }
 
-/// The union of coverage recorders, moving the first rather than copying
-/// it into an empty one (most runs retire a single connection).
-fn union_all(parts: impl IntoIterator<Item = Coverage>) -> Coverage {
-    let mut parts = parts.into_iter();
-    let mut union = parts.next().unwrap_or_default();
-    for part in parts {
-        union.union_with(&part);
-    }
-    union
+/// How a cached run captures per-file coverage: the cache the stale
+/// files' entries go to, and the connection's window hooks.
+struct Capture<'c, C> {
+    cache: &'c ResultCache,
+    begin: fn(&mut C),
+    end: fn(&mut C) -> Coverage,
 }
 
 #[cfg(test)]
@@ -811,6 +813,39 @@ mod tests {
         assert!(log.contains("\"label\":\"probe\""), "{log}");
         assert!(log.contains("\"engine\":\"mysql\""), "{log}");
         assert!(log.contains("\"outcome\":\"pass\""), "{log}");
+    }
+
+    #[test]
+    fn unreachable_backend_crashes_every_file_inside_one_suite_bracket() {
+        let gs = generate_suite_scaled(SuiteKind::Slt, 3, 0.02);
+        let files = gs.files.len();
+        assert!(files >= 2, "need several files across the workers");
+        let events = JsonlObserver::new();
+        let run = Harness::builder()
+            .suite(&gs)
+            .backend(BackendSpec::Subprocess {
+                bin: Some("/nonexistent/squality-backend-worker".into()),
+                deadline: std::time::Duration::from_secs(5),
+                max_restarts: 1,
+            })
+            .workers(2)
+            .observer(&events)
+            .build()
+            .unwrap()
+            .run();
+        // Every file becomes a connect-failure crash, not a harness abort.
+        assert_eq!(run.summary.crashes.len(), files);
+        assert_eq!(run.summary.passed, 0);
+        let log = events.log();
+        let lines: Vec<&str> = log.lines().collect();
+        let count = |event: &str| lines.iter().filter(|l| l.contains(event)).count();
+        assert_eq!(count("\"event\":\"suite_started\""), 1, "{log}");
+        assert_eq!(count("\"event\":\"suite_finished\""), 1, "{log}");
+        assert_eq!(count("\"event\":\"file_started\""), files, "{log}");
+        assert!(lines[0].contains("suite_started"), "{log}");
+        let last = lines.last().unwrap();
+        assert!(last.contains("suite_finished"), "{log}");
+        assert!(last.contains(&format!("\"crashes\":{files}")), "{last}");
     }
 
     #[test]

@@ -57,15 +57,15 @@
 use crate::experiments::Study;
 use crate::harness::Harness;
 use crate::transplant::{Provision, SuiteRunSummary};
-use crate::triage::{cluster_failures, effective_workers, Arm, CellRef};
+use crate::triage::{cluster_failures, Arm, CellRef};
 use squality_backend::BackendSpec;
 use squality_corpus::DonorEnvironment;
 use squality_engine::{ClientKind, EngineDialect, ExecStrategy, FaultProfile, PlanCache};
 use squality_formats::{RecordId, SuiteKind, TestFile};
-use squality_runner::{EngineConnector, FailureSignature, Outcome, PerturbationAxis, Stability};
+use squality_runner::{
+    pool, EngineConnector, FailureSignature, Outcome, PerturbationAxis, Stability,
+};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Parameters of the stability arm.
@@ -400,31 +400,11 @@ pub(crate) fn annotate_summary(
     }
 }
 
-/// Classify every target over a worker pool. Verdicts come back in
-/// target order regardless of worker count: each worker claims the next
-/// index and writes its own slot, exactly the triage reducer's stitching
-/// discipline.
+/// Classify every target on the shared worker [`pool`]. Verdicts come
+/// back in target order whatever the worker count, and the calling thread
+/// is one of the workers.
 fn classify_targets(targets: &[Target<'_>], config: &StabilityConfig) -> Vec<Stability> {
-    if targets.is_empty() {
-        return Vec::new();
-    }
-    let workers = effective_workers(config.workers, targets.len());
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Stability>>> = targets.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(target) = targets.get(i) else { break };
-                let verdict = classify_target(target, i, config);
-                *slots[i].lock().expect("stability slot poisoned") = Some(verdict);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("stability slot poisoned").expect("every slot is filled"))
-        .collect()
+    pool(config.workers, targets.len(), |_: &mut (), i| classify_target(&targets[i], i, config)).0
 }
 
 /// The rerun + perturbation matrix for one target. Baseline reruns come

@@ -49,10 +49,11 @@ use squality_formats::{
     parse_slt, write_duckdb, ControlCommand, RecordId, RecordKind, SliceIndex, SliceKey, SltFlavor,
     SuiteKind, TestFile, TestRecord,
 };
-use squality_runner::{EngineConnector, FailureSignature, Outcome, RunObserver, TaxonomyContext};
+use squality_runner::{
+    pool, EngineConnector, FailureSignature, Outcome, RunObserver, TaxonomyContext,
+};
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Which execution arm of the study a failure came from.
@@ -406,10 +407,6 @@ pub fn triage_study_with_observers(
     }
 
     let started = std::time::Instant::now();
-    let workers = effective_workers(config.workers, report.clusters.len());
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Reduction>>> =
-        report.clusters.iter().map(|_| Mutex::new(None)).collect();
     let clusters = &report.clusters;
     let run = TriageRun {
         study,
@@ -419,32 +416,18 @@ pub fn triage_study_with_observers(
         observer_gate: Mutex::new(()),
         indexes: clusters.iter().map(|c| (index_key(&c.exemplar), OnceLock::new())).collect(),
     };
-    let (added, reused, refreshed) =
-        (AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0));
+    let (outputs, _) =
+        pool(config.workers, clusters.len(), |_: &mut (), i| run.process_cluster(&clusters[i], i));
 
-    let work = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        let Some(cluster) = clusters.get(i) else { break };
-        let (reduction, action) = run.process_cluster(cluster, i);
+    let mut store_stats = TriageStoreStats::default();
+    for (reduction, action) in outputs {
         match action {
-            Some(StoreAction::Added) => added.fetch_add(1, Ordering::Relaxed),
-            Some(StoreAction::Reused) => reused.fetch_add(1, Ordering::Relaxed),
-            Some(StoreAction::Refreshed) => refreshed.fetch_add(1, Ordering::Relaxed),
-            None => 0,
-        };
-        *slots[i].lock().expect("reduction slot poisoned") = reduction;
-    };
-    // The calling thread is one of the workers, as in the scheduler: a
-    // triage spawns one thread fewer, and a single-worker triage none.
-    std::thread::scope(|scope| {
-        for _ in 1..workers {
-            scope.spawn(work);
+            Some(StoreAction::Added) => store_stats.added += 1,
+            Some(StoreAction::Reused) => store_stats.reused += 1,
+            Some(StoreAction::Refreshed) => store_stats.refreshed += 1,
+            None => {}
         }
-        work();
-    });
-
-    for slot in slots {
-        if let Some(reduction) = slot.into_inner().expect("reduction slot poisoned") {
+        if let Some(reduction) = reduction {
             report.stats.probes += reduction.probes;
             report.stats.records_before += reduction.original_records;
             report.stats.records_after += reduction.reduced_records;
@@ -452,11 +435,7 @@ pub fn triage_study_with_observers(
         }
     }
     if config.store.is_some() {
-        report.store_stats = Some(TriageStoreStats {
-            added: added.into_inner(),
-            reused: reused.into_inner(),
-            refreshed: refreshed.into_inner(),
-        });
+        report.store_stats = Some(store_stats);
     }
     // Advisory only — excluded from the determinism contract.
     report.stats.elapsed_nanos = started.elapsed().as_nanos() as u64;
@@ -735,15 +714,6 @@ fn cell_counters(study: &Study, cell: CellRef) -> squality_runner::TranslationCo
             .map(|c| c.summary.translation),
     }
     .unwrap_or_default()
-}
-
-pub(crate) fn effective_workers(requested: usize, jobs: usize) -> usize {
-    let requested = if requested == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        requested
-    };
-    requested.clamp(1, jobs.max(1))
 }
 
 /// One cluster's probe environment: enough to execute any record slice

@@ -10,8 +10,8 @@
 //! * [`runner`] — conditioned, loop-expanding, halting execution,
 //! * [`events`] — the typed [`RunEvent`] stream ([`RunObserver`] sinks,
 //!   JSONL logging, CLI progress) every suite run can emit,
-//! * [`scheduler`] — parallel, deterministic suite execution over a
-//!   worker pool,
+//! * [`scheduler`] — the one worker [`pool`] and parallel, deterministic
+//!   suite execution on it ([`Runner::run_files`]),
 //! * [`validate`] — SLT sort modes, hash-threshold, exact vs tolerant
 //!   numeric comparison,
 //! * [`classify`] — the RQ3 dependency and RQ4 incompatibility taxonomies
@@ -49,7 +49,7 @@ pub use events::{
 };
 pub use outcome::{FailInfo, FailKind, FileResult, Outcome, RecordResult, SkipReason};
 pub use runner::{Runner, RunnerOptions, TranslationMode};
-pub use scheduler::{FileRunRecord, SuiteExecution};
+pub use scheduler::{pool, FileRunRecord, SuiteExecution};
 pub use sigcodec::{decode_signature, encode_signature};
 pub use squality_sqlast::translate::{
     TranslationCache, TranslationCounts, TranslationRule, TranslationStats,

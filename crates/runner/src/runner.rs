@@ -65,11 +65,11 @@ impl Default for RunnerOptions {
 #[derive(Default)]
 pub struct Runner {
     pub options: RunnerOptions,
-    /// Per-rule translation counters. Cloned (shared) into the per-file
-    /// runners the scheduler spawns, so one set of counters aggregates a
-    /// whole suite run across workers — the same sharing pattern as the
-    /// statement-plan cache. Counters record per execution; memoisation
-    /// through [`Runner::translation_cache`] never changes the totals.
+    /// Per-rule translation counters of the files this runner executes
+    /// directly. [`Runner::run_files`] instead measures each file with a
+    /// private set and reports per-file deltas, which sum to the same
+    /// totals. Counters record per execution; memoisation through
+    /// [`Runner::translation_cache`] never changes the totals.
     pub translation_stats: Arc<TranslationStats>,
     /// Memoised text → translated-text cache shared across workers, so a
     /// loop-replayed statement is parsed and printed once per suite run.

@@ -4,8 +4,9 @@
 //! Database Systems"* (SIGMOD 2024): a unified cross-DBMS test-suite format,
 //! runner, four dialect-faithful engine simulators, calibrated synthetic
 //! corpora, and the harnesses that regenerate every table and figure of the
-//! paper's evaluation. See `DESIGN.md` for the system inventory and
-//! `EXPERIMENTS.md` for paper-vs-measured results.
+//! paper's evaluation. See `DESIGN.md` for the system inventory; the
+//! report that `squality-tables all` prints sets every regenerated table
+//! and figure beside the paper's numbers.
 
 pub use squality_analysis as analysis;
 pub use squality_core as core;

@@ -184,3 +184,44 @@ fn editing_one_file_invalidates_exactly_that_file() {
     assert_eq!(warm_stats.misses, 0);
     assert_eq!(warm_stats.hits, gs.files.len() as u64);
 }
+
+/// The coverage union when hits and misses mix: one cell run uncached,
+/// cold-cached, warm, and with one file edited (one miss, the rest hits)
+/// must report equal `Run.coverage` and summary every way, at one worker
+/// and at several.
+#[test]
+fn coverage_union_is_the_same_whatever_mix_of_hits_and_misses() {
+    use squality::formats::Condition;
+    let gs = generate_suite_scaled(SuiteKind::Slt, 11, 0.05);
+    assert!(gs.files.len() >= 3, "need several files to mix hits and misses");
+    // A hashed edit that cannot change an outcome on the DuckDB host.
+    let mut edited = gs.clone();
+    edited.files[1].records[0].conditions.push(Condition::SkipIf("mysql".into()));
+
+    for workers in [1, 3] {
+        let dir = TempCacheDir::new(&format!("mix-w{workers}"));
+        let run = |suite, cache: Option<Arc<ResultCache>>| {
+            let mut builder = Harness::builder().suite(suite).host(EngineDialect::Duckdb);
+            if let Some(cache) = cache {
+                builder = builder.result_cache(cache);
+            }
+            let run = builder.workers(workers).build().expect("suite configured").run();
+            (format!("{:?}", run.summary), run.coverage)
+        };
+        let uncached = run(&gs, None);
+        assert!(uncached.1.line_ratio() > 0.0);
+
+        let cache = dir.cache();
+        assert_eq!(run(&gs, Some(Arc::clone(&cache))), uncached, "cold, workers={workers}");
+        assert_eq!(cache.stats().misses, gs.files.len() as u64);
+
+        let cache = dir.cache();
+        assert_eq!(run(&gs, Some(Arc::clone(&cache))), uncached, "warm, workers={workers}");
+        assert_eq!(cache.stats().misses, 0);
+
+        let cache = dir.cache();
+        assert_eq!(run(&edited, Some(Arc::clone(&cache))), uncached, "mixed, workers={workers}");
+        assert_eq!(cache.stats().misses, 1);
+        assert_eq!(cache.stats().hits, gs.files.len() as u64 - 1);
+    }
+}
