@@ -49,9 +49,10 @@ use std::sync::Arc;
 /// Bumping it orphans every entry written by older code.
 pub const STORE_VERSION: u32 = 1;
 
-/// The study-matrix arm an entry's exemplar failure came from. Mirrors
-/// the triage arm taxonomy without depending on the core crate (core
-/// depends on this crate, not vice versa).
+/// The study's arm enum: which execution arm a study cell belongs to, and
+/// so which arm an entry's exemplar failure came from. It lives here
+/// because core depends on this crate, not vice versa; core re-exports it
+/// and its `CellRef` uses it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BugArm {
     /// Donor suite on its own engine, bare provisioning.

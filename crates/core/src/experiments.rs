@@ -6,12 +6,13 @@ use crate::harness::{Harness, HarnessBuilder};
 use crate::stability::{StabilityConfig, StabilityReport};
 use crate::transplant::{sample_failures, Incident, Provision, SuiteRunSummary};
 use squality_backend::{BackendFaultBreakdown, BackendSpec};
+use squality_bugstore::BugArm;
 use squality_corpus::{donor_dialect, generate_suite_scaled, GeneratedSuite};
 use squality_engine::{ClientKind, Coverage, EngineDialect, PlanCache, PlanCacheStats};
 use squality_formats::SuiteKind;
 use squality_runner::{
     normalize_error, DependencyClass, IncompatibilityClass, Outcome, ReuseDifficulty, RunObserver,
-    StoreStats,
+    StoreStats, TaxonomyContext,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -143,6 +144,80 @@ impl StudyConfig {
 pub const EXECUTED_SUITES: [SuiteKind; 3] =
     [SuiteKind::Slt, SuiteKind::PgRegress, SuiteKind::Duckdb];
 
+/// One cell of the study: a donor suite on a host engine in one arm. The
+/// cell alone decides how it runs, so a study run, a triage probe, a
+/// stability probe and a bug-store replay of the same cell all execute
+/// under the same configuration (see [`CellRef::builder`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CellRef {
+    pub suite: SuiteKind,
+    pub host: EngineDialect,
+    pub arm: BugArm,
+}
+
+impl CellRef {
+    /// Which failure taxonomy reads this cell (Table 5 vs Table 6).
+    pub fn taxonomy(self) -> TaxonomyContext {
+        match self.arm {
+            BugArm::DonorBare => TaxonomyContext::DonorDependency,
+            BugArm::Verbatim | BugArm::Translated => TaxonomyContext::CrossHost,
+        }
+    }
+
+    /// `"PostgreSQL→sqlite (translated)"`-style display label.
+    pub fn label(self) -> String {
+        let suffix = match self.arm {
+            BugArm::DonorBare => " (bare)",
+            BugArm::Verbatim => "",
+            BugArm::Translated => " (translated)",
+        };
+        format!("{}→{}{}", self.suite.donor_name(), self.host.name(), suffix)
+    }
+
+    /// A [`HarnessBuilder`] preset with this cell's host, client,
+    /// provision level and translation; the caller adds the suite or
+    /// files and anything else it needs. Donor validation runs the
+    /// unified connector on a bare environment. In the matrix, the
+    /// diagonal runs the donor suite as its own framework would (full
+    /// environment and the original client), which is why Figure 4's
+    /// diagonal reads 100% even though Table 4 reports donor failures
+    /// under the unified runner; off-diagonal cells use the connector with
+    /// the cross-host provision. Donor cells also carry their
+    /// `"donor X (bare)"` event label.
+    pub fn builder<'a>(self) -> HarnessBuilder<'a> {
+        let builder = Harness::builder().host(self.host).translate(self.arm == BugArm::Translated);
+        match self.arm {
+            BugArm::DonorBare => builder
+                .client(ClientKind::Connector)
+                .provision(Provision::Bare)
+                .label(format!("donor {} (bare)", self.suite.donor_name())),
+            _ if self.host == donor_dialect(self.suite) => {
+                builder.client(ClientKind::Cli).provision(Provision::Full)
+            }
+            _ => builder.client(ClientKind::Connector).provision(Provision::CrossHost),
+        }
+    }
+}
+
+/// The study's cells in execution order: the 3 donor-bare cells, then the
+/// 12 verbatim matrix cells, then (when the arm is on) the 12 translated
+/// ones.
+fn study_cells(translated_arm: bool) -> impl Iterator<Item = CellRef> {
+    let donors = EXECUTED_SUITES.into_iter().map(|suite| CellRef {
+        suite,
+        host: donor_dialect(suite),
+        arm: BugArm::DonorBare,
+    });
+    let arms: &[BugArm] =
+        if translated_arm { &[BugArm::Verbatim, BugArm::Translated] } else { &[BugArm::Verbatim] };
+    let matrix = arms.iter().flat_map(|&arm| {
+        EXECUTED_SUITES.into_iter().flat_map(move |suite| {
+            EngineDialect::ALL.into_iter().map(move |host| CellRef { suite, host, arm })
+        })
+    });
+    donors.chain(matrix)
+}
+
 /// One cell of the Figure 4 heatmap.
 #[derive(Debug, Clone)]
 pub struct MatrixCell {
@@ -235,31 +310,21 @@ impl Study {
     pub fn donor_run(&self, suite: SuiteKind) -> &SuiteRunSummary {
         self.donor_runs.iter().find(|s| s.suite == suite).expect("donor run")
     }
-}
 
-/// A pre-configured [`HarnessBuilder`] for one study cell: the shared
-/// worker count, study-wide plan cache, optional study-wide result
-/// cache, and observer set applied.
-fn cell_builder<'a>(
-    gs: &'a GeneratedSuite,
-    workers: usize,
-    backend: &BackendSpec,
-    plan_cache: &Arc<PlanCache>,
-    result_cache: Option<&Arc<ResultCache>>,
-    observers: &[&'a dyn RunObserver],
-) -> HarnessBuilder<'a> {
-    let mut builder = Harness::builder()
-        .suite(gs)
-        .workers(workers)
-        .backend(backend.clone())
-        .plan_cache(Arc::clone(plan_cache));
-    if let Some(cache) = result_cache {
-        builder = builder.result_cache(Arc::clone(cache));
+    /// Every cell the study ran with its summary, in execution order:
+    /// donor-bare runs, the verbatim matrix, then the translated matrix.
+    pub fn cells(&self) -> impl Iterator<Item = (CellRef, &SuiteRunSummary)> {
+        let donors = self
+            .donor_runs
+            .iter()
+            .map(|run| (CellRef { suite: run.suite, host: run.host, arm: BugArm::DonorBare }, run));
+        let arms =
+            [(BugArm::Verbatim, &self.matrix), (BugArm::Translated, &self.translated_matrix)];
+        let matrix = arms.into_iter().flat_map(|(arm, cells)| {
+            cells.iter().map(move |c| (CellRef { suite: c.suite, host: c.host, arm }, &c.summary))
+        });
+        donors.chain(matrix)
     }
-    for obs in observers {
-        builder = builder.observer(*obs);
-    }
-    builder
 }
 
 /// Run the full study.
@@ -306,80 +371,46 @@ pub fn run_study_cached(
         .map(|s| generate_suite_scaled(*s, config.seed, config.scale))
         .collect();
 
-    let executed: Vec<&GeneratedSuite> = EXECUTED_SUITES
-        .iter()
-        .map(|k| suites.iter().find(|s| s.suite == *k).expect("generated"))
-        .collect();
-
+    // 2. Every cell in study order: donor validation in a bare
+    // environment (Tables 4–5), the cross-DBMS matrix (Figure 4 / Tables
+    // 6–7), then the translated arm. Every cell shares one plan cache, so
+    // translated text is just another key in it.
     let plan_cache = PlanCache::shared();
-    let workers = config.workers;
-
-    // 2. Donor validation in a bare environment (Tables 4–5).
     let mut backend_faults = BackendFaultBreakdown::default();
-    let mut donor_runs: Vec<SuiteRunSummary> = Vec::with_capacity(executed.len());
-    for gs in &executed {
-        let run = cell_builder(gs, workers, &config.backend, &plan_cache, result_cache, observers)
-            .label(format!("donor {} (bare)", gs.suite.donor_name()))
-            .host(donor_dialect(gs.suite))
-            .client(ClientKind::Connector)
-            .provision(Provision::Bare)
-            .build()
-            .expect("suite is always set")
-            .run();
+    let mut donor_runs: Vec<SuiteRunSummary> = Vec::new();
+    let mut matrix: Vec<MatrixCell> = Vec::new();
+    let mut cell_coverage: Vec<Coverage> = Vec::new();
+    let mut translated_matrix: Vec<MatrixCell> = Vec::new();
+    for cell in study_cells(config.translated_arm) {
+        let gs = suites.iter().find(|s| s.suite == cell.suite).expect("generated");
+        let mut builder = cell
+            .builder()
+            .suite(gs)
+            .workers(config.workers)
+            .backend(config.backend.clone())
+            .plan_cache(Arc::clone(&plan_cache));
+        if let Some(cache) = result_cache {
+            builder = builder.result_cache(Arc::clone(cache));
+        }
+        for obs in observers {
+            builder = builder.observer(*obs);
+        }
+        let run = builder.build().expect("suite is always set").run();
         if let Some(faults) = &run.backend_faults {
             backend_faults.merge(faults);
         }
-        donor_runs.push(run.summary);
-    }
-
-    // 3. The cross-DBMS matrix (Figure 4 / Tables 6–7). The diagonal runs
-    // the donor suite as its own framework would — full environment and the
-    // original client — which is why Figure 4's diagonal reads 100% even
-    // though Table 4 reports donor failures under the unified runner.
-    let run_arm = |translate: bool,
-                   backend_faults: &mut BackendFaultBreakdown|
-     -> Vec<(MatrixCell, Coverage)> {
-        let mut cells = Vec::new();
-        for gs in &executed {
-            for host in EngineDialect::ALL {
-                let is_donor = host == donor_dialect(gs.suite);
-                let run = cell_builder(
-                    gs,
-                    workers,
-                    &config.backend,
-                    &plan_cache,
-                    result_cache,
-                    observers,
-                )
-                .host(host)
-                .client(if is_donor { ClientKind::Cli } else { ClientKind::Connector })
-                .provision(if is_donor { Provision::Full } else { Provision::CrossHost })
-                .translate(translate)
-                .build()
-                .expect("suite is always set")
-                .run();
-                if let Some(faults) = &run.backend_faults {
-                    backend_faults.merge(faults);
-                }
-                cells.push((
-                    MatrixCell { suite: gs.suite, host, summary: run.summary },
-                    run.coverage,
-                ));
+        let summary = run.summary;
+        match cell.arm {
+            BugArm::DonorBare => donor_runs.push(summary),
+            BugArm::Verbatim => {
+                matrix.push(MatrixCell { suite: cell.suite, host: cell.host, summary });
+                cell_coverage.push(run.coverage);
+            }
+            BugArm::Translated => {
+                translated_matrix.push(MatrixCell { suite: cell.suite, host: cell.host, summary })
             }
         }
-        cells
-    };
-    let (matrix, cell_coverage): (Vec<MatrixCell>, Vec<Coverage>) =
-        run_arm(false, &mut backend_faults).into_iter().unzip();
-
-    // 3b. The translated arm: the same 12 cells with cross-dialect
-    // statement translation. Translated text is just another key in the
-    // shared plan cache, so the arm reuses the study-wide cache too.
-    let translated_matrix = if config.translated_arm {
-        run_arm(true, &mut backend_faults).into_iter().map(|(cell, _)| cell).collect()
-    } else {
-        Vec::new()
-    };
+    }
 
     // 4. Table 8, from the verbatim cells' coverage.
     let coverage = table8_rows(&matrix, &cell_coverage);
@@ -564,6 +595,46 @@ mod tests {
 
     fn small_study() -> Study {
         run_study(StudyConfig::default().with_seed(21).with_scale(0.08))
+    }
+
+    #[test]
+    fn cells_come_in_the_order_the_event_log_records_them() {
+        let events = squality_runner::JsonlObserver::new();
+        let config = StudyConfig::default().with_seed(21).with_scale(0.06);
+        let s = run_study_with_observers(config, &[&events]);
+        let log = events.log();
+        let logged: Vec<&str> = log
+            .lines()
+            .filter(|line| line.contains("\"event\":\"suite_started\""))
+            .map(|line| line.split("\"label\":\"").nth(1).unwrap().split('"').next().unwrap())
+            .collect();
+        let cells: Vec<(CellRef, String)> = s
+            .cells()
+            .map(|(cell, _)| {
+                let harness = cell.builder().suite(s.suite(cell.suite)).build().unwrap();
+                (cell, harness.label().to_string())
+            })
+            .collect();
+        assert_eq!(cells.len(), 27);
+        let labels: Vec<&str> = cells.iter().map(|(_, label)| label.as_str()).collect();
+        assert_eq!(labels, logged);
+        let arms: Vec<BugArm> = cells.iter().map(|(cell, _)| cell.arm).collect();
+        assert!(arms[..3].iter().all(|arm| *arm == BugArm::DonorBare), "{arms:?}");
+        assert!(arms[3..15].iter().all(|arm| *arm == BugArm::Verbatim), "{arms:?}");
+        assert!(arms[15..].iter().all(|arm| *arm == BugArm::Translated), "{arms:?}");
+        assert_eq!(labels[0], "donor SQLite (bare)");
+    }
+
+    #[test]
+    fn every_cell_reruns_to_its_stored_summary_through_its_builder() {
+        let s = run_study(StudyConfig::default().with_seed(21).with_scale(0.06));
+        let mut rerun = 0;
+        for (cell, summary) in s.cells() {
+            let again = cell.builder().suite(s.suite(cell.suite)).build().unwrap().run().summary;
+            assert_eq!(format!("{again:?}"), format!("{summary:?}"), "{}", cell.label());
+            rerun += 1;
+        }
+        assert_eq!(rerun, 27);
     }
 
     #[test]

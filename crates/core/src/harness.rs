@@ -36,6 +36,7 @@ use std::sync::{Arc, Mutex};
 
 /// What a harness executes: a generated donor suite (with its recorded
 /// environment) or a bare slice of parsed test files.
+#[derive(Clone, Copy)]
 enum SuiteSource<'a> {
     Generated(&'a GeneratedSuite),
     Files { kind: SuiteKind, files: &'a [TestFile] },
@@ -79,15 +80,17 @@ impl std::fmt::Display for HarnessError {
 impl std::error::Error for HarnessError {}
 
 /// Builder for a [`Harness`]. Every knob is defaulted; only the suite is
-/// required. See [`Harness::builder`] for a complete example.
+/// required. See [`Harness::builder`] for a complete example. A clone is
+/// an independent preset: the stability arm clones one per probe and
+/// perturbs a single knob.
+#[derive(Clone)]
 pub struct HarnessBuilder<'a> {
     source: Option<SuiteSource<'a>>,
     environment: Option<&'a DonorEnvironment>,
     host: Option<EngineDialect>,
     client: ClientKind,
     provision: Option<Provision>,
-    numeric: NumericMode,
-    faults: FaultProfile,
+    pub(crate) faults: FaultProfile,
     translate: bool,
     workers: usize,
     backend: BackendSpec,
@@ -108,7 +111,6 @@ impl<'a> HarnessBuilder<'a> {
             host: None,
             client: ClientKind::Connector,
             provision: None,
-            numeric: NumericMode::Exact,
             faults: FaultProfile::default(),
             translate: false,
             workers: 1,
@@ -167,12 +169,6 @@ impl<'a> HarnessBuilder<'a> {
     /// for bare files.
     pub fn provision(mut self, provision: Provision) -> Self {
         self.provision = Some(provision);
-        self
-    }
-
-    /// Numeric comparison mode. Default: [`NumericMode::Exact`].
-    pub fn numeric(mut self, numeric: NumericMode) -> Self {
-        self.numeric = numeric;
         self
     }
 
@@ -296,7 +292,6 @@ impl<'a> HarnessBuilder<'a> {
             host,
             client: self.client,
             provision,
-            numeric: self.numeric,
             faults: self.faults,
             translate: self.translate,
             workers: self.workers,
@@ -321,7 +316,6 @@ pub struct Harness<'a> {
     host: EngineDialect,
     client: ClientKind,
     provision: Provision,
-    numeric: NumericMode,
     faults: FaultProfile,
     translate: bool,
     workers: usize,
@@ -388,14 +382,7 @@ impl<'a> Harness<'a> {
     }
 
     fn translation_mode(&self) -> TranslationMode {
-        if self.translate {
-            TranslationMode::Translated {
-                from: donor_dialect(self.source.kind()).text_dialect(),
-                to: self.host.text_dialect(),
-            }
-        } else {
-            TranslationMode::Verbatim
-        }
+        translation_mode(self.source.kind(), self.host, self.translate)
     }
 
     /// The donor environment this run provisions from: an explicit
@@ -429,7 +416,7 @@ impl<'a> Harness<'a> {
 
     fn runner(&self) -> Runner {
         Runner::new(RunnerOptions {
-            numeric: self.numeric,
+            numeric: NumericMode::Exact,
             fresh_database: false,
             translation: self.translation_mode(),
         })
@@ -454,7 +441,7 @@ impl<'a> Harness<'a> {
             engine_fingerprint: &fingerprint,
             client: self.client,
             provision: self.provision,
-            numeric: self.numeric,
+            numeric: NumericMode::Exact,
             translation: self.translation_mode(),
             faults: self.faults,
             environment: self.resolved_environment(),
@@ -501,8 +488,21 @@ impl<'a> Harness<'a> {
             })
         };
         if let Some(config) = &self.stability {
+            // Probes replay this harness's cell: no observers, no result
+            // cache and no stability config of their own.
+            let mut preset = Harness::builder()
+                .host(self.host)
+                .client(self.client)
+                .provision(self.provision)
+                .translate(self.translate)
+                .faults(self.faults);
+            if let Some(env) = self.resolved_environment() {
+                preset = preset.environment(env);
+            }
             crate::stability::annotate_summary(
-                &self.probe_cell(),
+                &preset,
+                self.source.kind(),
+                &self.label,
                 self.source.files(),
                 &mut run.summary,
                 config,
@@ -511,19 +511,11 @@ impl<'a> Harness<'a> {
         run
     }
 
-    /// The probe configuration the stability arm replicates this
-    /// harness's failures under.
-    fn probe_cell(&self) -> crate::stability::ProbeCell<'_> {
-        crate::stability::ProbeCell {
-            kind: self.source.kind(),
-            host: self.host,
-            client: self.client,
-            provision: self.provision,
-            translate: self.translate,
-            faults: self.faults,
-            env: self.resolved_environment(),
-            label: self.label.clone(),
-        }
+    /// A fresh in-process connection configured like this harness's
+    /// workers (host, client, faults, strategy, plan cache), for
+    /// [`Harness::run_on`].
+    pub(crate) fn connector(&self) -> EngineConnector {
+        self.factory().connect().expect("in-process connections always open")
     }
 
     /// The out-of-process connector factory. The scheduler, runner, and
@@ -686,10 +678,11 @@ impl<'a> Harness<'a> {
         Run { summary, coverage, backend_faults: None }
     }
 
-    /// Execute sequentially on one existing, caller-owned connection —
-    /// for callers that accumulate engine state (coverage, extensions)
-    /// across several suites on a single connection. Emits the same event
-    /// stream as a 1-worker [`Harness::run`].
+    /// Execute sequentially on one existing, caller-owned connection,
+    /// resetting and provisioning it before each file. Emits the same
+    /// event stream as a 1-worker [`Harness::run`]. Its one production
+    /// caller is [`triage`](crate::triage): ddmin probes of one cluster
+    /// reuse a single connection instead of opening one per probe.
     pub fn run_on(&self, conn: &mut EngineConnector) -> SuiteRunSummary {
         let runner = self.runner();
         let files = self.source.files();
@@ -726,6 +719,24 @@ impl<'a> Harness<'a> {
         let mut summary = summarize(self.source.kind(), self.host, &results);
         summary.translation = runner.translation_stats.counts();
         summary
+    }
+}
+
+/// How a run translates a `kind` suite's statements on `host`: verbatim,
+/// or from the donor's text dialect to the host's. Shared with the bug
+/// store, which records it in each entry.
+pub(crate) fn translation_mode(
+    kind: SuiteKind,
+    host: EngineDialect,
+    translate: bool,
+) -> TranslationMode {
+    if translate {
+        TranslationMode::Translated {
+            from: donor_dialect(kind).text_dialect(),
+            to: host.text_dialect(),
+        }
+    } else {
+        TranslationMode::Verbatim
     }
 }
 

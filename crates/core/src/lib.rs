@@ -76,8 +76,8 @@ pub mod triage;
 pub use cache::{CachedFileRun, CellSpec, FileKey, ResultCache, SCHEMA_VERSION};
 pub use experiments::{
     dependency_breakdown, difficulty_summary, incompatibility_breakdown, run_study,
-    run_study_cached, run_study_with_observers, BugFinding, CoverageRow, MatrixCell, Study,
-    StudyConfig, EXECUTED_SUITES,
+    run_study_cached, run_study_with_observers, BugFinding, CellRef, CoverageRow, MatrixCell,
+    Study, StudyConfig, EXECUTED_SUITES,
 };
 pub use harness::{Harness, HarnessBuilder, HarnessError, Run};
 pub use replay::{

@@ -4,9 +4,10 @@
 //! provenance: the cell configuration it failed under and the donor
 //! environment it needs. Replay turns the store into a first-class
 //! regression suite — parse every verified repro, group entries by cell
-//! configuration, execute each group through one [`Harness`] run (any
-//! backend, any worker count, byte-deterministic event log), and report
-//! each entry's *transition*:
+//! configuration, execute each group through one [`Harness`](crate::Harness)
+//! run built from the entry's [`CellRef::builder`] (any backend, any
+//! worker count, byte-deterministic event log), and report each entry's
+//! *transition*:
 //!
 //! * **still-failing** — the repro re-failed with its stored signature
 //!   (modulo stability annotation): the bug is still present,
@@ -19,10 +20,9 @@
 //! standalone, so a clean replay says nothing) and counted in
 //! [`ReplayReport::skipped`].
 
-use crate::harness::Harness;
-use crate::triage::{Arm, CellRef};
+use crate::experiments::CellRef;
 use squality_backend::BackendSpec;
-use squality_bugstore::{BugArm, BugEntry, BugStore};
+use squality_bugstore::{BugEntry, BugStore};
 use squality_formats::{parse_slt, suite_tag, ContentHasher, SltFlavor, TestFile};
 use squality_runner::sigcodec::engine_dialect_tag;
 use squality_runner::{FailureSignature, Outcome, RunObserver, Stability};
@@ -182,9 +182,9 @@ pub fn replay_store_with_observers(
     groups.sort_by_key(|(k, _)| *k);
 
     for (_, members) in &groups {
-        let cell = cell_of(&members[0].1);
-        let env = members[0].1.environment.clone();
-        let (client, provision, translate) = cell.exec();
+        let first = &members[0].1;
+        let cell = CellRef { suite: first.suite, host: first.host, arm: first.arm };
+        let env = first.environment.clone();
         // Prefix each file with its key: repro names are only unique
         // within the study that minted them.
         let files: Vec<TestFile> = members
@@ -196,13 +196,10 @@ pub fn replay_store_with_observers(
                 file
             })
             .collect();
-        let mut builder = Harness::builder()
+        let mut builder = cell
+            .builder()
             .files(cell.suite, &files)
             .environment(&env)
-            .host(cell.host)
-            .client(client)
-            .provision(provision)
-            .translate(translate)
             .workers(config.workers)
             .backend(config.backend.clone())
             .label(format!("replay {}", cell.label()));
@@ -254,19 +251,6 @@ pub fn replay_store_with_observers(
     report.entries.sort_by_key(|e| e.key);
     report.elapsed_nanos = started.elapsed().as_nanos() as u64;
     report
-}
-
-/// The triage-side cell a bug entry came from.
-pub(crate) fn cell_of(entry: &BugEntry) -> CellRef {
-    CellRef {
-        suite: entry.suite,
-        host: entry.host,
-        arm: match entry.arm {
-            BugArm::DonorBare => Arm::DonorBare,
-            BugArm::Verbatim => Arm::Verbatim,
-            BugArm::Translated => Arm::Translated,
-        },
-    }
 }
 
 type GroupKey = (u8, u8, u8, u64);

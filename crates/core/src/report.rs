@@ -530,7 +530,7 @@ pub fn bug_store_table(entries: &[(u64, squality_bugstore::BugEntry)]) -> String
         };
         out.push_str(&format!(
             "{key:016x}  {:<30} {:<24} {:>4}  {:<10} [{}] {}\n",
-            crate::replay::cell_of(e).label(),
+            crate::CellRef { suite: e.suite, host: e.host, arm: e.arm }.label(),
             e.stability.as_ref().map_or("-".to_string(), |s| s.label()),
             e.records_after,
             state,

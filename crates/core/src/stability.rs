@@ -24,6 +24,14 @@
 //!    safe to cluster, dedupe, reduce, and report as a real
 //!    incompatibility.
 //!
+//! Every probe is a [`Harness`](crate::Harness) run of the target's file
+//! from a preset [`HarnessBuilder`]. A study target's preset comes from
+//! its cell's [`CellRef::builder`], so the probe replays the cell exactly
+//! as the study ran it; `Harness::run` presets its own configuration. The
+//! baseline runs the preset unchanged, and each axis changes one builder
+//! knob: `workers`, `exec_strategy`, `plan_cache`, `faults`, or `backend`
+//! with `backend_env`.
+//!
 //! Verdicts are threaded back onto the study in place:
 //! [`FailureSignature::stability`] is annotated on every failure (so
 //! triage clustering separates a stable cluster from a
@@ -54,17 +62,15 @@
 //! [`FailureSignature::stability`]: squality_runner::FailureSignature
 //! [`BugFinding::stability`]: crate::experiments::BugFinding
 
-use crate::experiments::Study;
-use crate::harness::Harness;
-use crate::transplant::{Provision, SuiteRunSummary};
-use crate::triage::{cluster_failures, Arm, CellRef};
+use crate::experiments::{CellRef, Study};
+use crate::harness::HarnessBuilder;
+use crate::transplant::SuiteRunSummary;
+use crate::triage::{cluster_failures, FailureCluster};
 use squality_backend::BackendSpec;
-use squality_corpus::DonorEnvironment;
-use squality_engine::{ClientKind, EngineDialect, ExecStrategy, FaultProfile, PlanCache};
+use squality_bugstore::BugArm;
+use squality_engine::{EngineDialect, ExecStrategy, FaultProfile, PlanCache};
 use squality_formats::{RecordId, SuiteKind, TestFile};
-use squality_runner::{
-    pool, EngineConnector, FailureSignature, Outcome, PerturbationAxis, Stability,
-};
+use squality_runner::{pool, FailureSignature, Outcome, PerturbationAxis, Stability};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -141,26 +147,13 @@ impl StabilityConfig {
     }
 }
 
-/// The cell configuration a stability probe replicates: everything a
-/// [`Harness`] needs to re-execute one file the way the original run
-/// executed it. Built by `Harness::run` for its own failures and from a
-/// triage [`CellRef`] for study clusters.
-#[derive(Clone)]
-pub(crate) struct ProbeCell<'a> {
-    pub(crate) kind: SuiteKind,
-    pub(crate) host: EngineDialect,
-    pub(crate) client: ClientKind,
-    pub(crate) provision: Provision,
-    pub(crate) translate: bool,
-    pub(crate) faults: FaultProfile,
-    pub(crate) env: Option<&'a DonorEnvironment>,
-    pub(crate) label: String,
-}
-
 /// One record (or incident) under stability analysis.
 struct Target<'a> {
-    cell: ProbeCell<'a>,
-    file: &'a TestFile,
+    /// Runs the target's file the way the original run executed it: from
+    /// [`CellRef::builder`] for study clusters and bugs, from the harness's
+    /// own configuration for `Harness::run`. Each probe clones it and
+    /// perturbs at most one knob.
+    preset: HarnessBuilder<'a>,
     /// 1-based source line — how crashes and hangs are matched.
     line: usize,
     /// Record id for failure targets; `None` for crash/hang bug targets,
@@ -263,45 +256,7 @@ impl StabilityReport {
 /// threading the verdicts back.
 pub fn stability_report(study: &Study, config: &StabilityConfig) -> StabilityReport {
     let (total_failures, clusters) = cluster_failures(study);
-
-    let mut targets: Vec<Target<'_>> = Vec::new();
-    for cluster in &clusters {
-        let cell_ref = cluster.exemplar.cell;
-        let gs = study.suite(cell_ref.suite);
-        let file = gs
-            .files
-            .iter()
-            .find(|f| f.name == cluster.exemplar.file)
-            .expect("exemplar file is in its suite");
-        targets.push(Target {
-            cell: probe_cell_of(cell_ref, &gs.environment),
-            file,
-            line: cluster.exemplar.id.line as usize,
-            id: Some(cluster.exemplar.id),
-            signature: Some(strip(&cluster.signature)),
-            original: "fail",
-        });
-    }
-    for bug in &study.bugs {
-        // Bugs are collected from the verbatim matrix (see
-        // `run_study_cached`), so that is the cell the probe replays.
-        let cell_ref = CellRef { suite: bug.donor_suite, host: bug.host, arm: Arm::Verbatim };
-        let gs = study.suite(bug.donor_suite);
-        let file = gs
-            .files
-            .iter()
-            .find(|f| f.name == bug.incident.file)
-            .expect("incident file is in its suite");
-        targets.push(Target {
-            cell: probe_cell_of(cell_ref, &gs.environment),
-            file,
-            line: bug.incident.line,
-            id: None,
-            signature: None,
-            original: if bug.is_crash { "crash" } else { "hang" },
-        });
-    }
-
+    let targets = study_targets(study, &clusters);
     let mut verdicts = classify_targets(&targets, config).into_iter();
     let clusters = clusters
         .iter()
@@ -326,6 +281,36 @@ pub fn stability_report(study: &Study, config: &StabilityConfig) -> StabilityRep
         })
         .collect();
     StabilityReport { reruns: config.reruns, total_failures, clusters, bugs }
+}
+
+/// One target per cluster exemplar, then one per bug finding, each
+/// preset from its study cell's [`CellRef::builder`].
+fn study_targets<'s>(study: &'s Study, clusters: &[FailureCluster]) -> Vec<Target<'s>> {
+    let preset = |cell: CellRef, name: &str| {
+        let gs = study.suite(cell.suite);
+        let file = gs.files.iter().find(|f| f.name == name).expect("target file is in its suite");
+        for_file(cell.builder().environment(&gs.environment), cell.suite, &cell.label(), file)
+    };
+    let clusters = clusters.iter().map(|cluster| Target {
+        preset: preset(cluster.exemplar.cell, &cluster.exemplar.file),
+        line: cluster.exemplar.id.line as usize,
+        id: Some(cluster.exemplar.id),
+        signature: Some(strip(&cluster.signature)),
+        original: "fail",
+    });
+    // Bugs are collected from the verbatim matrix (see `run_study_cached`),
+    // so that is the cell the probe replays.
+    let bugs = study.bugs.iter().map(|bug| Target {
+        preset: preset(
+            CellRef { suite: bug.donor_suite, host: bug.host, arm: BugArm::Verbatim },
+            &bug.incident.file,
+        ),
+        line: bug.incident.line,
+        id: None,
+        signature: None,
+        original: if bug.is_crash { "crash" } else { "hang" },
+    });
+    clusters.chain(bugs).collect()
 }
 
 /// Thread a report's verdicts back onto the study: every failure whose
@@ -363,10 +348,13 @@ pub fn annotate_study(study: &mut Study, report: &StabilityReport) {
 /// The harness-level entry point: classify every distinct failure
 /// signature of one finished run and annotate the summary's failures in
 /// place. Called by `Harness::run` when
-/// [`stability`](crate::HarnessBuilder::stability) is configured.
-pub(crate) fn annotate_summary(
-    cell: &ProbeCell<'_>,
-    files: &[TestFile],
+/// [`stability`](crate::HarnessBuilder::stability) is configured, with a
+/// `preset` of its own configuration and its run `label`.
+pub(crate) fn annotate_summary<'a>(
+    preset: &HarnessBuilder<'a>,
+    kind: SuiteKind,
+    label: &str,
+    files: &'a [TestFile],
     summary: &mut SuiteRunSummary,
     config: &StabilityConfig,
 ) {
@@ -382,8 +370,7 @@ pub(crate) fn annotate_summary(
         let Some(file) = files.iter().find(|f| f.name == case.file) else { continue };
         seen.insert(info.signature.clone(), targets.len());
         targets.push(Target {
-            cell: cell.clone(),
-            file,
+            preset: for_file(preset.clone(), kind, label, file),
             line: case.id.line as usize,
             id: Some(case.id),
             signature: Some(info.signature.clone()),
@@ -434,38 +421,40 @@ fn classify_target(target: &Target<'_>, index: usize, config: &StabilityConfig) 
     Stability::Stable
 }
 
-/// Execute one probe: the target's file under its cell configuration
-/// with at most one knob perturbed, read back as an outcome label.
+/// `preset` narrowed to one `kind` file, labelled after the cell it
+/// replays.
+fn for_file<'a>(
+    preset: HarnessBuilder<'a>,
+    kind: SuiteKind,
+    label: &str,
+    file: &'a TestFile,
+) -> HarnessBuilder<'a> {
+    preset.files(kind, std::slice::from_ref(file)).label(format!("stability {label} {}", file.name))
+}
+
+/// Execute one probe: the target's preset with at most one knob
+/// perturbed, read back as an outcome label.
 fn probe(
     target: &Target<'_>,
     variation: Variation,
     index: usize,
     config: &StabilityConfig,
 ) -> &'static str {
-    let cell = &target.cell;
-    let faults = if variation == Variation::Axis(PerturbationAxis::FaultProfile) {
-        flip_faults(cell.faults)
-    } else {
-        cell.faults
-    };
-    let files = std::slice::from_ref(target.file);
-    let mut builder = Harness::builder()
-        .files(cell.kind, files)
-        .host(cell.host)
-        .client(cell.client)
-        .provision(cell.provision)
-        .translate(cell.translate)
-        .faults(faults)
-        .label(format!("stability {} {}", cell.label, target.file.name));
-    if let Some(env) = cell.env {
-        builder = builder.environment(env);
-    }
-    let summary = match variation {
-        Variation::Axis(PerturbationAxis::Workers) => {
-            // Through the parallel scheduler — the determinism contract's
-            // own axis. (A single file clamps to one worker; the probe
-            // still exercises the scheduler path vs `run_on`.)
-            builder.workers(2).build().expect("files are always set").run().summary
+    let preset = target.preset.clone();
+    let builder = match variation {
+        Variation::Baseline => preset,
+        // Through the parallel scheduler, the determinism contract's own
+        // axis. (A single file clamps to one worker.)
+        Variation::Axis(PerturbationAxis::Workers) => preset.workers(2),
+        Variation::Axis(PerturbationAxis::ExecStrategy) => {
+            preset.exec_strategy(ExecStrategy::Naive)
+        }
+        // The original cells run without a plan cache; the perturbation
+        // is attaching a fresh one.
+        Variation::Axis(PerturbationAxis::PlanCache) => preset.plan_cache(PlanCache::shared()),
+        Variation::Axis(PerturbationAxis::FaultProfile) => {
+            let flipped = flip_faults(preset.faults);
+            preset.faults(flipped)
         }
         Variation::Axis(PerturbationAxis::BackendSchedule) => {
             // Behind a worker process under a seeded crash/hang schedule.
@@ -474,7 +463,7 @@ fn probe(
             // overridden rather than inherited.
             let (crash, after) = seeded_schedule(config.seed, index);
             let (crash_after, hang_after) = if crash { (after, 0) } else { (0, after) };
-            builder
+            preset
                 .backend(
                     BackendSpec::subprocess()
                         .with_deadline(config.backend_deadline)
@@ -482,29 +471,9 @@ fn probe(
                 )
                 .backend_env("SQUALITY_CRASH_AFTER", crash_after.to_string())
                 .backend_env("SQUALITY_HANG_AFTER", hang_after.to_string())
-                .build()
-                .expect("files are always set")
-                .run()
-                .summary
-        }
-        // Baseline and the remaining axes run on one in-process
-        // connection, like a triage probe. The connection is minted with
-        // the probe's fault profile — `run_on` executes on the caller's
-        // engine, so the profile must be set here, not on the builder.
-        _ => {
-            let mut conn = EngineConnector::with_faults(cell.host, cell.client, faults);
-            if variation == Variation::Axis(PerturbationAxis::ExecStrategy) {
-                conn.set_exec_strategy(ExecStrategy::Naive);
-            }
-            if variation == Variation::Axis(PerturbationAxis::PlanCache) {
-                // The original cells run cache-less connections per probe;
-                // the perturbation is attaching one.
-                conn.set_plan_cache(PlanCache::shared());
-            }
-            builder.build().expect("files are always set").run_on(&mut conn)
         }
     };
-    observe(&summary, target)
+    observe(&builder.build().expect("files are always set").run().summary, target)
 }
 
 /// Read a probe summary back as the target's outcome label: `"fail"`
@@ -531,24 +500,6 @@ fn observe(summary: &SuiteRunSummary, target: &Target<'_>) -> &'static str {
         "hang"
     } else {
         "pass"
-    }
-}
-
-/// Build a probe cell from a triage cell reference: the study's
-/// execution configuration for that cell, with the suite's recorded
-/// environment.
-fn probe_cell_of(cell_ref: CellRef, env: &DonorEnvironment) -> ProbeCell<'_> {
-    let (client, provision, translate) = cell_ref.exec();
-    ProbeCell {
-        kind: cell_ref.suite,
-        host: cell_ref.host,
-        client,
-        provision,
-        translate,
-        // Study cells run the default (paper-versions) profile.
-        faults: FaultProfile::default(),
-        env: Some(env),
-        label: cell_ref.label(),
     }
 }
 
@@ -689,6 +640,50 @@ mod tests {
             }
             assert_eq!(crate::report::stability_table(&got), base_table, "workers={workers}");
         }
+    }
+
+    #[test]
+    fn each_in_process_axis_reads_as_the_verdicts_expect() {
+        // Every in-process probe runs the target's preset with one builder
+        // knob changed. Read axis by axis, the outcomes must add up to the
+        // verdicts `every_target_is_classified_and_faults_read_sensitive`
+        // checks: the cell replays its observation, scheduling, strategy
+        // and plan cache never move a deterministic engine, and only the
+        // fault-profile flip makes the injected crashes vanish.
+        let s = run_study(StudyConfig::default().with_seed(21).with_scale(0.06));
+        let (_, clusters) = cluster_failures(&s);
+        let targets = study_targets(&s, &clusters);
+        assert_eq!(targets.len(), clusters.len() + s.bugs.len());
+        assert_eq!(
+            targets[0].preset.faults,
+            FaultProfile::default(),
+            "study cells run paper faults"
+        );
+        let config = StabilityConfig::default();
+        let (mut crashes, mut fault_flips) = (0, 0);
+        for (i, target) in targets.iter().enumerate() {
+            let read = |variation| probe(target, variation, i, &config);
+            assert_eq!(read(Variation::Baseline), target.original, "target {i} baseline");
+            for axis in [
+                PerturbationAxis::Workers,
+                PerturbationAxis::ExecStrategy,
+                PerturbationAxis::PlanCache,
+            ] {
+                assert_eq!(read(Variation::Axis(axis)), target.original, "target {i} {axis:?}");
+            }
+            let fixed = read(Variation::Axis(PerturbationAxis::FaultProfile));
+            if target.original == "crash" {
+                crashes += 1;
+                assert_ne!(fixed, "crash", "target {i}: crash survived the all-fixed profile");
+            }
+            if fixed != target.original {
+                fault_flips += 1;
+            }
+        }
+        assert!(crashes >= 1, "no crash finding to flip");
+        // Nondeterministic targets exist, and ordinary clusters stay put.
+        assert!(fault_flips >= crashes);
+        assert!(fault_flips < targets.len(), "every target flipped");
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! | Cross-DBMS matrix (Fig. 4, Tables 6–7) | others | `CrossHost` | `Connector` |
 //! | Expectation recording (corpus) | donor | `Full` | `Cli` |
 
-use squality_corpus::{donor_dialect, GeneratedSuite};
 use squality_engine::{EngineDialect, ErrorKind};
 use squality_formats::{RecordId, SuiteKind};
 use squality_runner::{FileResult, Outcome, RecordResult, SkipReason, TranslationCounts};
@@ -197,16 +196,11 @@ pub fn sample_failures(failures: &[FailureCase], n: usize, seed: u64) -> Vec<&Fa
     indices.into_iter().map(|i| &failures[i]).collect()
 }
 
-/// The donor dialect for a generated suite.
-pub fn donor_of(suite: &GeneratedSuite) -> EngineDialect {
-    donor_dialect(suite.suite)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::harness::{Harness, HarnessBuilder};
-    use squality_corpus::generate_suite_scaled;
+    use squality_corpus::{generate_suite_scaled, GeneratedSuite};
     use squality_engine::{ClientKind, PlanCache};
     use squality_runner::EngineConnector;
     use std::sync::Arc;

@@ -4,8 +4,9 @@
 //! and manually shrank failing files into minimal bug reports (§7, Tables
 //! 5–6). This module mechanizes both steps over a finished [`Study`]:
 //!
-//! 1. **Clustering** — every failure in the study (donor-bare runs, both
-//!    matrix arms) carries a precomputed
+//! 1. **Clustering** — every failure in the study (every cell of
+//!    [`Study::cells`]: donor-bare runs and both matrix arms) carries a
+//!    precomputed
 //!    [`FailureSignature`]; grouping by signature collapses the raw
 //!    failure volume into root-cause clusters, each knowing which cells
 //!    it afflicts and an exemplar record to point at.
@@ -13,11 +14,13 @@
 //!    (`ddmin`) loop probes record subsets of the failing file, sliced
 //!    with their setup closure via [`slice()`](squality_formats::slice()), until the
 //!    file is minimal while *still failing with the identical signature*.
-//!    Probes re-execute through a [`Harness`] on the in-process engine
-//!    under the exemplar cell's exact configuration (host, client,
-//!    provision, translation); clusters fan out over a worker pool, and
-//!    every probe of the same statement text is a statement-plan-cache
-//!    hit, which is what makes reduction fast.
+//!    Probes re-execute through a [`Harness`](crate::Harness) built from
+//!    the exemplar cell's [`CellRef::builder`], so they run under the
+//!    cell's exact configuration (host, client, provision, translation).
+//!    In-process probes of one cluster share one connection through
+//!    [`Harness::run_on`](crate::Harness::run_on); clusters fan out over a
+//!    worker pool, and every probe of the same statement text is a
+//!    statement-plan-cache hit, which is what makes reduction fast.
 //!
 //! The result is the reusable asset the BugForge line of work argues for:
 //! a deduplicated, minimized corpus of self-contained repro files, each
@@ -38,85 +41,20 @@
 //! println!("{} × {} ({})", top.count, top.signature.normalized, top.class_label());
 //! ```
 
-use crate::experiments::Study;
-use crate::harness::Harness;
-use crate::transplant::{Provision, SuiteRunSummary};
+use crate::experiments::{CellRef, Study};
+use crate::harness::translation_mode;
 use squality_backend::BackendSpec;
 use squality_bugstore::{BugArm, BugEntry, BugStore};
-use squality_corpus::{donor_dialect, DonorEnvironment};
-use squality_engine::{ClientKind, EngineDialect, PlanCache, ENGINE_SEMANTICS_VERSION};
+use squality_corpus::DonorEnvironment;
+use squality_engine::{EngineDialect, PlanCache, ENGINE_SEMANTICS_VERSION};
 use squality_formats::{
     parse_slt, write_duckdb, ControlCommand, RecordId, RecordKind, SliceIndex, SliceKey, SltFlavor,
     SuiteKind, TestFile, TestRecord,
 };
-use squality_runner::{
-    pool, EngineConnector, FailureSignature, Outcome, RunObserver, TaxonomyContext,
-};
+use squality_runner::{pool, EngineConnector, FailureSignature, Outcome, RunObserver};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Which execution arm of the study a failure came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Arm {
-    /// Donor suite on its own engine, bare environment (Tables 4–5).
-    DonorBare,
-    /// The verbatim suite × host matrix (Figure 4, Table 6).
-    Verbatim,
-    /// The translated arm of the matrix.
-    Translated,
-}
-
-impl Arm {
-    fn suffix(self) -> &'static str {
-        match self {
-            Arm::DonorBare => " (bare)",
-            Arm::Verbatim => "",
-            Arm::Translated => " (translated)",
-        }
-    }
-}
-
-/// One cell of the study a cluster was observed in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CellRef {
-    pub suite: SuiteKind,
-    pub host: EngineDialect,
-    pub arm: Arm,
-}
-
-impl CellRef {
-    /// Which failure taxonomy reads this cell (Table 5 vs Table 6).
-    pub fn taxonomy(self) -> TaxonomyContext {
-        match self.arm {
-            Arm::DonorBare => TaxonomyContext::DonorDependency,
-            Arm::Verbatim | Arm::Translated => TaxonomyContext::CrossHost,
-        }
-    }
-
-    /// `"PostgreSQL→sqlite (translated)"`-style display label.
-    pub fn label(self) -> String {
-        format!("{}→{}{}", self.suite.donor_name(), self.host.name(), self.arm.suffix())
-    }
-
-    /// The study's execution configuration for this cell: client,
-    /// provision level, and whether translation was on — what a reduction
-    /// probe (and the stability arm's rerun probes) must replicate to
-    /// reproduce the cell's failure.
-    pub(crate) fn exec(self) -> (ClientKind, Provision, bool) {
-        match self.arm {
-            Arm::DonorBare => (ClientKind::Connector, Provision::Bare, false),
-            arm => {
-                let translated = arm == Arm::Translated;
-                if self.host == donor_dialect(self.suite) {
-                    (ClientKind::Cli, Provision::Full, translated)
-                } else {
-                    (ClientKind::Connector, Provision::CrossHost, translated)
-                }
-            }
-        }
-    }
-}
 
 /// The failure a cluster points at: one concrete record to reduce from.
 #[derive(Debug, Clone)]
@@ -325,14 +263,14 @@ impl TriageReport {
 /// Cluster every failure of a finished study by signature. Returns the
 /// raw failure total and the clusters, largest first (ties keep study
 /// execution order).
-pub fn cluster_failures<'s>(study: &'s Study) -> (usize, Vec<FailureCluster>) {
+pub fn cluster_failures(study: &Study) -> (usize, Vec<FailureCluster>) {
     let mut clusters: Vec<FailureCluster> = Vec::new();
     // Keyed by the study's own signatures: a failure costs a hash and a
     // lookup, and only the first of each cluster is cloned.
     let mut index: HashMap<&FailureSignature, usize> = HashMap::new();
     let mut total = 0usize;
 
-    let mut absorb = |cell: CellRef, summary: &'s SuiteRunSummary| {
+    for (cell, summary) in study.cells() {
         for case in &summary.failures {
             let Outcome::Fail(info) = &case.result.outcome else { continue };
             total += 1;
@@ -352,16 +290,6 @@ pub fn cluster_failures<'s>(study: &'s Study) -> (usize, Vec<FailureCluster>) {
                 None => cluster.cells.push((cell, 1)),
             }
         }
-    };
-
-    for run in &study.donor_runs {
-        absorb(CellRef { suite: run.suite, host: run.host, arm: Arm::DonorBare }, run);
-    }
-    for cell in &study.matrix {
-        absorb(CellRef { suite: cell.suite, host: cell.host, arm: Arm::Verbatim }, &cell.summary);
-    }
-    for cell in &study.translated_matrix {
-        absorb(CellRef { suite: cell.suite, host: cell.host, arm: Arm::Translated }, &cell.summary);
     }
 
     // Largest first; the stable sort keeps study execution order on ties.
@@ -651,18 +579,10 @@ fn store_entry(
     file: Option<&TestFile>,
     fingerprint: &str,
 ) {
-    let exemplar = &cluster.exemplar;
-    let cell = exemplar.cell;
+    let cell = cluster.exemplar.cell;
     let gs = study.suite(cell.suite);
-    let (_, _, translate) = cell.exec();
-    let translation = if translate {
-        squality_runner::TranslationMode::Translated {
-            from: donor_dialect(cell.suite).text_dialect(),
-            to: cell.host.text_dialect(),
-        }
-    } else {
-        squality_runner::TranslationMode::Verbatim
-    };
+    let rule_counters =
+        study.cells().find(|(c, _)| *c == cell).map(|(_, s)| s.translation).unwrap_or_default();
     let mut signature = cluster.signature.clone();
     let stability = signature.stability.take();
     let entry = BugEntry {
@@ -673,13 +593,9 @@ fn store_entry(
         reproduced: reduction.is_some_and(|r| r.verified),
         suite: cell.suite,
         host: cell.host,
-        arm: match cell.arm {
-            Arm::DonorBare => BugArm::DonorBare,
-            Arm::Verbatim => BugArm::Verbatim,
-            Arm::Translated => BugArm::Translated,
-        },
-        translation,
-        rule_counters: cell_counters(study, cell),
+        arm: cell.arm,
+        translation: translation_mode(cell.suite, cell.host, cell.arm == BugArm::Translated),
+        rule_counters,
         environment: gs.environment.clone(),
         probes: reduction.map_or(1, |r| r.probes),
         records_before: reduction
@@ -692,28 +608,6 @@ fn store_entry(
         last_seen: fingerprint.to_string(),
     };
     store.upsert(&entry);
-}
-
-/// The translation counters of the summary a cell ref points at.
-fn cell_counters(study: &Study, cell: CellRef) -> squality_runner::TranslationCounts {
-    match cell.arm {
-        Arm::DonorBare => study
-            .donor_runs
-            .iter()
-            .find(|r| r.suite == cell.suite && r.host == cell.host)
-            .map(|r| r.translation),
-        Arm::Verbatim => study
-            .matrix
-            .iter()
-            .find(|c| c.suite == cell.suite && c.host == cell.host)
-            .map(|c| c.summary.translation),
-        Arm::Translated => study
-            .translated_matrix
-            .iter()
-            .find(|c| c.suite == cell.suite && c.host == cell.host)
-            .map(|c| c.summary.translation),
-    }
-    .unwrap_or_default()
 }
 
 /// One cluster's probe environment: enough to execute any record slice
@@ -751,32 +645,24 @@ impl<'a> Prober<'a> {
         candidate: &TestFile,
         observers: &[&dyn RunObserver],
     ) -> bool {
-        let (client, provision, translate) = self.cell.exec();
-        let files = std::slice::from_ref(candidate);
-        let mut builder = Harness::builder()
-            .files(self.cell.suite, files)
+        let mut builder = self
+            .cell
+            .builder()
+            .files(self.cell.suite, std::slice::from_ref(candidate))
             .environment(self.env)
-            .host(self.cell.host)
-            .client(client)
-            .provision(provision)
-            .translate(translate)
+            .plan_cache(Arc::clone(self.plan_cache))
+            .backend(self.backend.clone())
             .label(format!("triage {} {}", self.cell.label(), candidate.name));
         for obs in observers {
             builder = builder.observer(*obs);
         }
-        let harness = builder.backend(self.backend.clone()).build().expect("files are always set");
+        let harness = builder.build().expect("files are always set");
         let summary = if matches!(self.backend, BackendSpec::Subprocess { .. }) {
             // Re-verify against a live worker process: the repro must
             // reproduce across the process boundary too.
             harness.run().summary
         } else {
-            let plan_cache = self.plan_cache;
-            let conn = self.conn.get_or_insert_with(|| {
-                let mut conn = EngineConnector::new(self.cell.host, client);
-                conn.set_plan_cache(Arc::clone(plan_cache));
-                conn
-            });
-            harness.run_on(conn)
+            harness.run_on(self.conn.get_or_insert_with(|| harness.connector()))
         };
         summary.failures.iter().any(|f| match &f.result.outcome {
             Outcome::Fail(info) => info.signature == self.want,
@@ -933,17 +819,17 @@ pub fn reduce_file(
 ) -> Option<FileReduction> {
     let env = DonorEnvironment::default();
     let plan_cache = PlanCache::shared();
-    let cell = CellRef { suite: kind, host, arm: Arm::DonorBare };
+    let cell = CellRef { suite: kind, host, arm: BugArm::DonorBare };
 
     // Find the target: the first failure of the bare run.
-    let mut conn = EngineConnector::new(host, ClientKind::Connector);
-    conn.set_plan_cache(Arc::clone(&plan_cache));
-    let summary = Harness::builder()
+    let harness = cell
+        .builder()
         .files(kind, std::slice::from_ref(file))
-        .host(host)
+        .plan_cache(Arc::clone(&plan_cache))
         .build()
-        .expect("files are set")
-        .run_on(&mut conn);
+        .expect("files are set");
+    let mut conn = harness.connector();
+    let summary = harness.run_on(&mut conn);
     let target = summary.failures.first()?;
     let Outcome::Fail(info) = &target.result.outcome else { return None };
     let signature = info.signature.clone();

@@ -27,11 +27,6 @@ impl ConfigStore {
         ConfigStore { dialect, values }
     }
 
-    /// Known parameter names for this engine.
-    pub fn known_params(&self) -> impl Iterator<Item = &str> {
-        self.values.keys().map(|s| s.as_str())
-    }
-
     /// Read a parameter.
     pub fn get(&self, name: &str) -> Option<&str> {
         self.values.get(&name.to_lowercase()).map(|s| s.as_str())

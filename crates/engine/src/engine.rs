@@ -217,11 +217,6 @@ impl Engine {
         self.extensions.contains(&name.to_lowercase())
     }
 
-    /// Names of user tables, for tests and SHOW TABLES.
-    pub fn table_names(&self) -> Vec<String> {
-        self.catalog.tables.keys().cloned().collect()
-    }
-
     /// Execute one SQL statement.
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult, EngineError> {
         if self.crashed {

@@ -44,18 +44,6 @@ impl FaultId {
         }
     }
 
-    /// Paper reference for reports.
-    pub fn paper_reference(self) -> &'static str {
-        match self {
-            FaultId::DuckdbAlterSchemaCrash => "Listing 12",
-            FaultId::DuckdbUpdateAfterCommitCrash => "Listing 13",
-            FaultId::MysqlRecursiveCteCrash => "Listing 14 / CVE-2024-20962",
-            FaultId::DuckdbRecursiveCteHang => "Listing 15",
-            FaultId::SqliteGenerateSeriesOverflowHang => "Listing 16",
-            FaultId::MysqlJoinSearchHang => "Section 6, Hangs",
-        }
-    }
-
     /// Whether the fault manifests as a crash (vs a hang).
     pub fn is_crash(self) -> bool {
         matches!(

@@ -173,14 +173,14 @@ pub trait ConnectorFactory: Sync {
     }
 }
 
-/// Factory for [`EngineConnector`]s: captures dialect, client, faults, the
-/// provisioned environment, and an optional shared plan cache.
+/// Factory for [`EngineConnector`]s: captures dialect, client, faults,
+/// execution strategy, and an optional shared plan cache. Connections come
+/// out unprovisioned; a harness provisions each one per file.
 #[derive(Debug, Clone)]
 pub struct EngineConnectorFactory {
     dialect: EngineDialect,
     client: ClientKind,
     faults: FaultProfile,
-    provisioned: Provisioned,
     plan_cache: Option<Arc<PlanCache>>,
     exec_strategy: ExecStrategy,
 }
@@ -201,7 +201,6 @@ impl EngineConnectorFactory {
             dialect,
             client,
             faults,
-            provisioned: Provisioned::default(),
             plan_cache: None,
             exec_strategy: ExecStrategy::default(),
         }
@@ -217,18 +216,6 @@ impl EngineConnectorFactory {
     /// arm's naive-vs-hash perturbation axis).
     pub fn exec_strategy(mut self, strategy: ExecStrategy) -> Self {
         self.exec_strategy = strategy;
-        self
-    }
-
-    /// Every minted connection sees this data file (survives resets).
-    pub fn provide_file(mut self, path: &str, lines: Vec<String>) -> Self {
-        self.provisioned.file(path, lines);
-        self
-    }
-
-    /// Every minted connection has this extension loaded (survives resets).
-    pub fn provide_extension(mut self, name: &str) -> Self {
-        self.provisioned.extension(name);
         self
     }
 }
@@ -337,12 +324,6 @@ impl ConnectorFactory for EngineConnectorFactory {
         conn.set_exec_strategy(self.exec_strategy);
         if let Some(cache) = &self.plan_cache {
             conn.set_plan_cache(Arc::clone(cache));
-        }
-        for (path, lines) in self.provisioned.files() {
-            conn.provide_file(path, lines.to_vec());
-        }
-        for ext in self.provisioned.extensions() {
-            conn.provide_extension(ext);
         }
         Ok(conn)
     }
