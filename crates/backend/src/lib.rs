@@ -64,8 +64,7 @@ impl BackendSpec {
     }
 
     /// Override the per-statement deadline (no-op for
-    /// [`BackendSpec::InProcess`]). The stability arm uses short
-    /// deadlines so hang-prone records rerun quickly.
+    /// [`BackendSpec::InProcess`]).
     pub fn with_deadline(mut self, new_deadline: Duration) -> BackendSpec {
         if let BackendSpec::Subprocess { deadline, .. } = &mut self {
             *deadline = new_deadline;

@@ -6,7 +6,7 @@
 //!                 [--events PATH] [--progress]
 //!                 [--cache] [--cache-dir DIR] [--no-cache]
 //!                 [--reduce] [--out DIR] [--max-probes N] [--store DIR]
-//!                 [--reruns N] [--fault-schedules]
+//!                 [--reruns N] [--backend-axis]
 //! sections: table1 figure1 table2 figure2 table3 figure3 table4 table5
 //!           figure4 table6 table7 table8 translation bugs all (default: all)
 //!           triage (signature clustering [+ --reduce ddmin repros → --out]
@@ -40,11 +40,11 @@
 //! `triage-repros`).
 //!
 //! `stability` runs the flakiness arm: every failure cluster and bug
-//! finding re-executes `--reruns` times and once per perturbation axis
-//! (worker count, exec strategy, plan cache, fault profile, and — with
-//! `--fault-schedules` — a subprocess backend under seeded crash/hang
-//! schedules bounded by `--backend-deadline-ms`), classifying each as
-//! stable, flaky, or perturbation-sensitive. The table is printed and,
+//! finding re-executes `--reruns` times in the configuration its cell ran
+//! in (`--backend` included), then once per perturbation axis with one
+//! knob flipped (exec strategy, plan cache, fault profile, and — with
+//! `--backend-axis` — in-process ↔ subprocess backend), classifying each
+//! as stable, flaky, or perturbation-sensitive. The table is printed and,
 //! when `--out` is given, written to `--out/stability.txt` — it is
 //! byte-identical at every `--workers` count.
 //!
@@ -95,7 +95,7 @@ fn main() {
     let mut out_dir: Option<String> = None;
     let mut max_probes = 192usize;
     let mut reruns = 3usize;
-    let mut fault_schedules = false;
+    let mut backend_axis = false;
     let mut backend_deadline_ms: Option<u64> = None;
     let mut use_cache = false;
     let mut cache_dir: Option<PathBuf> = None;
@@ -136,7 +136,7 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage("missing value for --reruns"));
             }
-            "--fault-schedules" => fault_schedules = true,
+            "--backend-axis" => backend_axis = true,
             "--backend-deadline-ms" => {
                 backend_deadline_ms = Some(
                     args.next()
@@ -189,9 +189,9 @@ fn main() {
         sections.push("all".to_string());
     }
 
-    // The configurable subprocess deadline applies to the study backend,
-    // the stability arm's fault-schedule probes, and bug-store replay
-    // alike.
+    // The configurable subprocess deadline applies to the study backend
+    // (and so to the stability arm's reruns of its cells) and to bug-store
+    // replay alike.
     if let Some(ms) = backend_deadline_ms {
         backend = backend.with_deadline(Duration::from_millis(ms));
     }
@@ -238,15 +238,10 @@ fn main() {
     let translated_arm = sections.iter().any(|s| s == "translation" || s == "all");
 
     let stability_config = sections.iter().any(|s| s == "stability").then(|| {
-        let mut config = StabilityConfig::default()
+        StabilityConfig::default()
             .with_reruns(reruns)
-            .with_seed(seed)
             .with_workers(workers)
-            .with_fault_schedules(fault_schedules);
-        if let Some(ms) = backend_deadline_ms {
-            config = config.with_backend_deadline(Duration::from_millis(ms));
-        }
-        config
+            .with_backend_axis(backend_axis)
     });
 
     eprintln!(
@@ -595,7 +590,7 @@ fn usage(msg: &str) -> ! {
          \x20                      [--events PATH] [--progress]\n\
          \x20                      [--cache] [--cache-dir DIR] [--no-cache]\n\
          \x20                      [--reduce] [--out DIR] [--max-probes N] [--store DIR]\n\
-         \x20                      [--reruns N] [--fault-schedules]\n\
+         \x20                      [--reruns N] [--backend-axis]\n\
          \x20      squality-tables cache stats|clear [--cache-dir DIR]\n\
          \x20      squality-tables bugs list|show KEY|replay|import DIR|gc [--store DIR]\n\
          sections: table1..table8, figure1..figure4, translation, bugs, all, triage,\n\

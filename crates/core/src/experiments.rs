@@ -199,6 +199,24 @@ impl CellRef {
     }
 }
 
+/// How the study runs `cell`: its [`CellRef::builder`] preset over the
+/// cell's generated suite, with the study's worker count, backend and
+/// shared plan cache. The cell loop adds the result cache and observers;
+/// the stability arm re-runs exactly this configuration.
+pub(crate) fn cell_run<'a>(
+    cell: CellRef,
+    suites: &'a [GeneratedSuite],
+    config: &StudyConfig,
+    plan_cache: &Arc<PlanCache>,
+) -> HarnessBuilder<'a> {
+    let gs = suites.iter().find(|s| s.suite == cell.suite).expect("generated");
+    cell.builder()
+        .suite(gs)
+        .workers(config.workers)
+        .backend(config.backend.clone())
+        .plan_cache(Arc::clone(plan_cache))
+}
+
 /// The study's cells in execution order: the 3 donor-bare cells, then the
 /// 12 verbatim matrix cells, then (when the arm is on) the 12 translated
 /// ones.
@@ -382,13 +400,7 @@ pub fn run_study_cached(
     let mut cell_coverage: Vec<Coverage> = Vec::new();
     let mut translated_matrix: Vec<MatrixCell> = Vec::new();
     for cell in study_cells(config.translated_arm) {
-        let gs = suites.iter().find(|s| s.suite == cell.suite).expect("generated");
-        let mut builder = cell
-            .builder()
-            .suite(gs)
-            .workers(config.workers)
-            .backend(config.backend.clone())
-            .plan_cache(Arc::clone(&plan_cache));
+        let mut builder = cell_run(cell, &suites, &config, &plan_cache);
         if let Some(cache) = result_cache {
             builder = builder.result_cache(Arc::clone(cache));
         }
@@ -458,13 +470,11 @@ pub fn run_study_cached(
 
     // 6. The stability arm: classify one exemplar per failure cluster and
     // every bug finding under the perturbation matrix, then thread the
-    // verdicts back onto the study's failures and bugs. Probes always
-    // execute live — never through the result cache — so a warm cached
-    // study can never replay stale verdicts.
+    // verdicts back onto the study's failures and bugs. Probes re-run
+    // each cell's configuration live — never through the result cache —
+    // so a warm cached study can never replay stale verdicts.
     if let Some(stability_config) = stability_config {
-        let report = crate::stability::stability_report(&study, &stability_config);
-        crate::stability::annotate_study(&mut study, &report);
-        study.stability = Some(report);
+        crate::stability::classify_study(&mut study, &plan_cache, &stability_config);
     }
     study
 }

@@ -14,7 +14,6 @@
 //! aside); see [`squality_runner::events`].
 
 use crate::cache::{CachedFileRun, CellSpec, FileKey, ResultCache};
-use crate::stability::StabilityConfig;
 use crate::transplant::{summarize, Provision, SuiteRunSummary};
 use squality_backend::{
     discover_worker_bin, BackendFaultBreakdown, BackendSpec, SubprocessConnector,
@@ -42,7 +41,7 @@ enum SuiteSource<'a> {
     Files { kind: SuiteKind, files: &'a [TestFile] },
 }
 
-impl SuiteSource<'_> {
+impl<'a> SuiteSource<'a> {
     fn kind(&self) -> SuiteKind {
         match self {
             SuiteSource::Generated(gs) => gs.suite,
@@ -50,10 +49,26 @@ impl SuiteSource<'_> {
         }
     }
 
-    fn files(&self) -> &[TestFile] {
+    fn files(self) -> &'a [TestFile] {
         match self {
             SuiteSource::Generated(gs) => &gs.files,
             SuiteSource::Files { files, .. } => files,
+        }
+    }
+
+    /// The environment a run provisions from when none is set explicitly.
+    fn recorded_environment(self) -> Option<&'a DonorEnvironment> {
+        match self {
+            SuiteSource::Generated(gs) => Some(&gs.environment),
+            SuiteSource::Files { .. } => None,
+        }
+    }
+
+    /// The provision level a run uses when none is set explicitly.
+    fn default_provision(self) -> Provision {
+        match self {
+            SuiteSource::Generated(_) => Provision::CrossHost,
+            SuiteSource::Files { .. } => Provision::Bare,
         }
     }
 }
@@ -81,8 +96,8 @@ impl std::error::Error for HarnessError {}
 
 /// Builder for a [`Harness`]. Every knob is defaulted; only the suite is
 /// required. See [`Harness::builder`] for a complete example. A clone is
-/// an independent preset: the stability arm clones one per probe and
-/// perturbs a single knob.
+/// an independent preset: the stability arm narrows a clone to one file
+/// per probe and flips a single knob.
 #[derive(Clone)]
 pub struct HarnessBuilder<'a> {
     source: Option<SuiteSource<'a>>,
@@ -93,12 +108,10 @@ pub struct HarnessBuilder<'a> {
     pub(crate) faults: FaultProfile,
     translate: bool,
     workers: usize,
-    backend: BackendSpec,
-    backend_env: Vec<(String, String)>,
-    exec_strategy: ExecStrategy,
-    plan_cache: Option<Arc<PlanCache>>,
+    pub(crate) backend: BackendSpec,
+    pub(crate) exec_strategy: ExecStrategy,
+    pub(crate) plan_cache: Option<Arc<PlanCache>>,
     result_cache: Option<Arc<ResultCache>>,
-    stability: Option<StabilityConfig>,
     observers: Vec<&'a dyn RunObserver>,
     label: Option<String>,
 }
@@ -115,11 +128,9 @@ impl<'a> HarnessBuilder<'a> {
             translate: false,
             workers: 1,
             backend: BackendSpec::InProcess,
-            backend_env: Vec::new(),
             exec_strategy: ExecStrategy::default(),
             plan_cache: None,
             result_cache: None,
-            stability: None,
             observers: Vec::new(),
             label: None,
         }
@@ -207,34 +218,12 @@ impl<'a> HarnessBuilder<'a> {
         self
     }
 
-    /// Set an environment variable on every spawned backend worker
-    /// process (no effect in-process). Entries set here override any
-    /// forwarded variable of the same name from the harness's own
-    /// environment — this is how the stability arm injects *seeded*
-    /// `SQUALITY_CRASH_AFTER`/`SQUALITY_HANG_AFTER` schedules without
-    /// mutating (thread-unsafe) process-global state.
-    pub fn backend_env(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.backend_env.push((key.into(), value.into()));
-        self
-    }
-
     /// Execution strategy of the host engine (the stability arm's
     /// naive-vs-hash perturbation axis). Default: [`ExecStrategy::Hash`].
     /// Participates in the result-cache cell key, so strategies never
     /// share cached results.
     pub fn exec_strategy(mut self, strategy: ExecStrategy) -> Self {
         self.exec_strategy = strategy;
-        self
-    }
-
-    /// Re-execute every failing record under the stability arm's
-    /// perturbation matrix after the run, annotating each failure's
-    /// [`FailureSignature`](squality_runner::FailureSignature) with a
-    /// [`Stability`](squality_runner::Stability) verdict. Stability runs
-    /// bypass the result cache: verdicts must come from live perturbed
-    /// re-execution, never replayed entries. Default: off.
-    pub fn stability(mut self, config: StabilityConfig) -> Self {
-        self.stability = Some(config);
         self
     }
 
@@ -270,14 +259,32 @@ impl<'a> HarnessBuilder<'a> {
         self
     }
 
+    /// This preset narrowed to the one file of its suite named `name`,
+    /// without observers or result cache: a live re-run of that file in
+    /// the configuration the preset runs every file in. The environment
+    /// and provision level a generated suite implies are kept. `None`
+    /// without a suite, or when no file has that name.
+    pub(crate) fn for_file(&self, name: &str) -> Option<HarnessBuilder<'a>> {
+        let source = self.source?;
+        let file = source.files().iter().find(|f| f.name == name)?;
+        Some(HarnessBuilder {
+            source: Some(SuiteSource::Files {
+                kind: source.kind(),
+                files: std::slice::from_ref(file),
+            }),
+            environment: self.environment.or(source.recorded_environment()),
+            provision: Some(self.provision.unwrap_or(source.default_provision())),
+            result_cache: None,
+            observers: Vec::new(),
+            ..self.clone()
+        })
+    }
+
     /// Resolve defaults and produce the [`Harness`].
     pub fn build(self) -> Result<Harness<'a>, HarnessError> {
         let source = self.source.ok_or(HarnessError::MissingSuite)?;
         let host = self.host.unwrap_or_else(|| donor_dialect(source.kind()));
-        let provision = self.provision.unwrap_or(match source {
-            SuiteSource::Generated(_) => Provision::CrossHost,
-            SuiteSource::Files { .. } => Provision::Bare,
-        });
+        let provision = self.provision.unwrap_or(source.default_provision());
         let label = self.label.unwrap_or_else(|| {
             format!(
                 "{}→{}{}",
@@ -296,11 +303,9 @@ impl<'a> HarnessBuilder<'a> {
             translate: self.translate,
             workers: self.workers,
             backend: self.backend,
-            backend_env: self.backend_env,
             exec_strategy: self.exec_strategy,
             plan_cache: self.plan_cache,
             result_cache: self.result_cache,
-            stability: self.stability,
             observers: self.observers,
             label,
         })
@@ -320,11 +325,9 @@ pub struct Harness<'a> {
     translate: bool,
     workers: usize,
     backend: BackendSpec,
-    backend_env: Vec<(String, String)>,
     exec_strategy: ExecStrategy,
     plan_cache: Option<Arc<PlanCache>>,
     result_cache: Option<Arc<ResultCache>>,
-    stability: Option<StabilityConfig>,
     observers: Vec<&'a dyn RunObserver>,
     label: String,
 }
@@ -389,11 +392,7 @@ impl<'a> Harness<'a> {
     /// [`HarnessBuilder::environment`] wins; a generated suite falls back
     /// to its recorded environment; bare files have none.
     fn resolved_environment(&self) -> Option<&DonorEnvironment> {
-        match (&self.environment, &self.source) {
-            (Some(env), _) => Some(env),
-            (None, SuiteSource::Generated(gs)) => Some(&gs.environment),
-            (None, SuiteSource::Files { .. }) => None,
-        }
+        self.environment.or(self.source.recorded_environment())
     }
 
     /// Apply the configured provision level to a freshly-reset connection,
@@ -460,7 +459,7 @@ impl<'a> Harness<'a> {
     /// observable (summary, events, tables, coverage unions) is
     /// byte-identical either way.
     pub fn run(&self) -> Run {
-        let mut run = if matches!(self.backend, BackendSpec::Subprocess { .. }) {
+        if matches!(self.backend, BackendSpec::Subprocess { .. }) {
             // Subprocess runs are never cached: their point is observing
             // live process faults. Each worker process reports the
             // coverage it reached; a worker that died contributes only
@@ -471,44 +470,15 @@ impl<'a> Harness<'a> {
             run.backend_faults = Some(factory.stats().snapshot());
             run
         } else {
-            // Stability runs are never cached either (satellite of the
-            // same contract): a warm cache must not replay stale
-            // verdicts, so the run executes live and the rerun arm
-            // probes live too.
-            let capture =
-                self.result_cache.as_deref().filter(|_| self.stability.is_none()).map(|cache| {
-                    Capture {
-                        cache,
-                        begin: EngineConnector::begin_coverage_capture,
-                        end: EngineConnector::end_coverage_capture,
-                    }
-                });
+            let capture = self.result_cache.as_deref().map(|cache| Capture {
+                cache,
+                begin: EngineConnector::begin_coverage_capture,
+                end: EngineConnector::end_coverage_capture,
+            });
             self.execute(&self.factory(), capture, |conn: &mut EngineConnector| {
                 std::mem::take(conn.engine_mut().coverage_mut())
             })
-        };
-        if let Some(config) = &self.stability {
-            // Probes replay this harness's cell: no observers, no result
-            // cache and no stability config of their own.
-            let mut preset = Harness::builder()
-                .host(self.host)
-                .client(self.client)
-                .provision(self.provision)
-                .translate(self.translate)
-                .faults(self.faults);
-            if let Some(env) = self.resolved_environment() {
-                preset = preset.environment(env);
-            }
-            crate::stability::annotate_summary(
-                &preset,
-                self.source.kind(),
-                &self.label,
-                self.source.files(),
-                &mut run.summary,
-                config,
-            );
         }
-        run
     }
 
     /// A fresh in-process connection configured like this harness's
@@ -541,12 +511,6 @@ impl<'a> Harness<'a> {
             if key == "SQUALITY_CRASH_AFTER" || key == "SQUALITY_HANG_AFTER" {
                 factory = factory.env(&key, &value);
             }
-        }
-        // Explicit per-harness entries land after the forwarded ones, so
-        // they win (Command::env is last-wins) — seeded stability-arm
-        // schedules override whatever the parent process carries.
-        for (key, value) in &self.backend_env {
-            factory = factory.env(key, value);
         }
         factory
     }
@@ -824,6 +788,33 @@ mod tests {
         assert!(log.contains("\"label\":\"probe\""), "{log}");
         assert!(log.contains("\"engine\":\"mysql\""), "{log}");
         assert!(log.contains("\"outcome\":\"pass\""), "{log}");
+    }
+
+    #[test]
+    fn for_file_reruns_one_file_as_the_preset_runs_it() {
+        let gs = generate_suite_scaled(SuiteKind::PgRegress, 5, 0.06);
+        let events = JsonlObserver::new();
+        let preset = Harness::builder()
+            .suite(&gs)
+            .host(EngineDialect::Sqlite)
+            .exec_strategy(ExecStrategy::Naive)
+            .plan_cache(PlanCache::shared())
+            .observer(&events);
+        let full = preset.clone().build().unwrap().run().summary;
+        let log = events.log();
+        let case = full.failures.first().expect("a cross-host cell fails records");
+
+        let narrowed = preset.for_file(&case.file).expect("the file is in the suite");
+        assert_eq!(narrowed.exec_strategy, ExecStrategy::Naive);
+        assert!(narrowed.plan_cache.is_some());
+        // The suite's environment and cross-host provision carry over, so
+        // the file fails exactly as it did inside the suite.
+        let again = narrowed.build().unwrap().run().summary;
+        let expected: Vec<_> =
+            full.failures.iter().filter(|f| f.file == case.file).cloned().collect();
+        assert_eq!(again.failures, expected);
+        assert_eq!(events.log(), log, "the narrowed run must not reach the preset's observers");
+        assert!(preset.for_file("no-such-file.sql").is_none());
     }
 
     #[test]

@@ -22,10 +22,10 @@
 //! * [`replay`] — the regression-replay service: run the whole bug-store
 //!   repro corpus as a first-class suite and report still-failing /
 //!   fixed / regressed transitions per entry,
-//! * [`stability`] — the flakiness arm: perturbed re-execution of every
-//!   failure (reruns, worker count, execution strategy, plan cache,
-//!   fault profile, seeded backend fault schedules) classifying each as
-//!   stable, flaky, or perturbation-sensitive.
+//! * [`stability`] — the flakiness arm: re-execution of every failure in
+//!   the configuration that produced it, then with one knob flipped
+//!   (execution strategy, plan cache, fault profile, backend), classifying
+//!   each as stable, flaky, or perturbation-sensitive.
 //!
 //! Runs execute in-process by default; [`BackendSpec::Subprocess`] (via
 //! [`HarnessBuilder::backend`](harness::HarnessBuilder::backend)) moves
@@ -91,9 +91,7 @@ pub use report::{
 };
 pub use squality_backend::{BackendFaultBreakdown, BackendSpec};
 pub use squality_bugstore::{signature_key, BugArm, BugEntry, BugStore};
-pub use stability::{
-    annotate_study, stability_report, BugVerdict, ClusterVerdict, StabilityConfig, StabilityReport,
-};
+pub use stability::{annotate_run, BugVerdict, ClusterVerdict, StabilityConfig, StabilityReport};
 pub use transplant::{
     sample_failures, FailureCase, Incident, Provision, SkipBreakdown, SuiteRunSummary,
 };

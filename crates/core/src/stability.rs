@@ -2,22 +2,22 @@
 //!
 //! The paper treats every failure as a fixed fact about a suite × host
 //! pair, but real harnesses ask a prior question first: *does this
-//! failure even reproduce?* A result that appears only under one worker
-//! count, one execution strategy, or one fault schedule is a harness
-//! finding, not a portability finding, and mixing the two poisons every
-//! downstream table. This module answers the question mechanically:
+//! failure even reproduce?* A result that appears only under one execution
+//! strategy, one plan cache or one backend is a harness finding, not a
+//! portability finding, and mixing the two poisons every downstream
+//! table. This module answers the question mechanically:
 //!
 //! 1. **Rerun** — every failing record (and every crash/hang bug
-//!    finding) re-executes [`StabilityConfig::reruns`] times under its
-//!    original cell configuration. Any divergence across identical runs
-//!    is [`Stability::Flaky`] with the observed outcome set.
+//!    finding) re-executes [`StabilityConfig::reruns`] times under the
+//!    configuration that produced it. Any divergence across identical
+//!    runs is [`Stability::Flaky`] with the observed outcome set.
 //! 2. **Perturb** — records that rerun identically are then probed once
-//!    per [`PerturbationAxis`]: scheduler worker count, naive-vs-hash
-//!    execution strategy, statement-plan cache on/off, the engine fault
-//!    profile flipped between paper-versions and all-fixed, and (opt-in,
-//!    [`StabilityConfig::fault_schedules`]) a subprocess backend under a
-//!    seeded `SQUALITY_CRASH_AFTER`/`SQUALITY_HANG_AFTER` schedule. The
-//!    first axis that changes the outcome yields
+//!    per [`PerturbationAxis`], each flipping one knob of that
+//!    configuration: hash ↔ naive execution strategy, statement-plan
+//!    cache present ↔ absent, the engine fault profile between
+//!    paper-versions and all-fixed, and (opt-in,
+//!    [`StabilityConfig::backend_axis`]) in-process ↔ subprocess backend.
+//!    The first axis that changes the outcome yields
 //!    [`Stability::PerturbationSensitive`].
 //! 3. **Classify** — everything else is [`Stability::Stable`]: the
 //!    failure reproduces byte-identically under every probe, so it is
@@ -25,21 +25,23 @@
 //!    incompatibility.
 //!
 //! Every probe is a [`Harness`](crate::Harness) run of the target's file
-//! from a preset [`HarnessBuilder`]. A study target's preset comes from
-//! its cell's [`CellRef::builder`], so the probe replays the cell exactly
-//! as the study ran it; `Harness::run` presets its own configuration. The
-//! baseline runs the preset unchanged, and each axis changes one builder
-//! knob: `workers`, `exec_strategy`, `plan_cache`, `faults`, or `backend`
-//! with `backend_env`.
+//! from a clone of the exact [`HarnessBuilder`] that produced the
+//! observation, without its observers and result cache. There are two
+//! front-ends to that one probe path: [`annotate_run`] takes the builder
+//! of one finished run, and the study's arm
+//! ([`StudyConfig::with_stability_arm`](crate::StudyConfig::with_stability_arm))
+//! takes the configuration each study cell ran in — its
+//! [`CellRef::builder`] preset with the study's workers, backend and
+//! shared plan cache.
 //!
-//! Verdicts are threaded back onto the study in place:
+//! Verdicts are threaded back in place:
 //! [`FailureSignature::stability`] is annotated on every failure (so
 //! triage clustering separates a stable cluster from a
 //! perturbation-sensitive one with the same message) and
 //! [`BugFinding::stability`] on every crash/hang finding. The analysis
-//! itself is deterministic — probes are pure harness runs, schedules are
-//! seeded, and the worker pool stitches verdicts in target order — so
-//! the stability table is byte-identical at every worker count.
+//! itself is deterministic — probes are pure harness runs and the worker
+//! pool stitches verdicts in target order — so the stability table is
+//! byte-identical at every worker count.
 //!
 //! # Example
 //!
@@ -62,17 +64,17 @@
 //! [`FailureSignature::stability`]: squality_runner::FailureSignature
 //! [`BugFinding::stability`]: crate::experiments::BugFinding
 
-use crate::experiments::{CellRef, Study};
+use crate::experiments::{cell_run, CellRef, Study};
 use crate::harness::HarnessBuilder;
 use crate::transplant::SuiteRunSummary;
 use crate::triage::{cluster_failures, FailureCluster};
 use squality_backend::BackendSpec;
 use squality_bugstore::BugArm;
 use squality_engine::{EngineDialect, ExecStrategy, FaultProfile, PlanCache};
-use squality_formats::{RecordId, SuiteKind, TestFile};
+use squality_formats::RecordId;
 use squality_runner::{pool, FailureSignature, Outcome, PerturbationAxis, Stability};
 use std::collections::HashMap;
-use std::time::Duration;
+use std::sync::Arc;
 
 /// Parameters of the stability arm.
 ///
@@ -86,32 +88,20 @@ pub struct StabilityConfig {
     /// the probes are single files, so the cost stays proportional to
     /// the number of distinct failure signatures, not raw failures.
     pub reruns: usize,
-    /// Seed for the subprocess fault schedules (and any future
-    /// randomized probe). The analysis is deterministic given it.
-    pub seed: u64,
     /// Worker threads the targets fan out over (`0` = all cores).
     /// Purely a throughput knob: verdicts are stitched in target order,
     /// so the report is byte-identical at every count.
     pub workers: usize,
-    /// Also probe the subprocess-backend axis: re-run each target behind
-    /// a `squality-backend-worker` process under a seeded
-    /// `SQUALITY_CRASH_AFTER`/`SQUALITY_HANG_AFTER` schedule. Off by
-    /// default — it spawns one child process per target.
-    pub fault_schedules: bool,
-    /// Per-statement deadline for the fault-schedule probes. Short by
-    /// default so hang-prone records rerun quickly.
-    pub backend_deadline: Duration,
+    /// Also probe the backend axis: re-run each target behind a
+    /// `squality-backend-worker` process when it failed in-process, and
+    /// in-process when it failed behind one. Off by default — an
+    /// in-process run spawns one child process per target.
+    pub backend_axis: bool,
 }
 
 impl Default for StabilityConfig {
     fn default() -> Self {
-        StabilityConfig {
-            reruns: 3,
-            seed: 0x57AB1E,
-            workers: 0,
-            fault_schedules: false,
-            backend_deadline: Duration::from_millis(250),
-        }
+        StabilityConfig { reruns: 3, workers: 0, backend_axis: false }
     }
 }
 
@@ -122,37 +112,24 @@ impl StabilityConfig {
         self
     }
 
-    /// Replace the fault-schedule seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Replace the analysis worker count (0 = all cores).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
     }
 
-    /// Enable or disable the subprocess fault-schedule axis.
-    pub fn with_fault_schedules(mut self, fault_schedules: bool) -> Self {
-        self.fault_schedules = fault_schedules;
-        self
-    }
-
-    /// Replace the fault-schedule probe deadline.
-    pub fn with_backend_deadline(mut self, deadline: Duration) -> Self {
-        self.backend_deadline = deadline;
+    /// Enable or disable the backend axis.
+    pub fn with_backend_axis(mut self, backend_axis: bool) -> Self {
+        self.backend_axis = backend_axis;
         self
     }
 }
 
 /// One record (or incident) under stability analysis.
 struct Target<'a> {
-    /// Runs the target's file the way the original run executed it: from
-    /// [`CellRef::builder`] for study clusters and bugs, from the harness's
-    /// own configuration for `Harness::run`. Each probe clones it and
-    /// perturbs at most one knob.
+    /// The builder that produced the observation, narrowed to the
+    /// target's file by [`HarnessBuilder::for_file`]. Each probe clones it
+    /// and flips at most one knob.
     preset: HarnessBuilder<'a>,
     /// 1-based source line — how crashes and hangs are matched.
     line: usize,
@@ -169,9 +146,9 @@ struct Target<'a> {
 /// One probe of the perturbation matrix.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Variation {
-    /// The original cell configuration, unchanged (the rerun arm).
+    /// The original configuration, unchanged (the rerun arm).
     Baseline,
-    /// One axis perturbed.
+    /// One axis flipped.
     Axis(PerturbationAxis),
 }
 
@@ -249,47 +226,124 @@ impl StabilityReport {
     }
 }
 
-/// Run the stability arm over a finished study: cluster every failure,
-/// take one exemplar per cluster plus every deduplicated bug finding,
-/// and classify each under the rerun + perturbation matrix. Pure
-/// analysis — the study is untouched; see [`annotate_study`] for
-/// threading the verdicts back.
-pub fn stability_report(study: &Study, config: &StabilityConfig) -> StabilityReport {
+/// Classify every distinct failure signature of one finished run and
+/// annotate the summary's failures in place. `preset` is the builder the
+/// run was built from: each probe re-runs a failing file from a clone of
+/// it, narrowed to that file and without observers or result cache, so
+/// the baseline replays exactly the configuration that failed.
+///
+/// ```
+/// use squality_core::{annotate_run, Harness, StabilityConfig};
+/// use squality_corpus::generate_suite_scaled;
+/// use squality_engine::EngineDialect;
+/// use squality_formats::SuiteKind;
+/// use squality_runner::Outcome;
+///
+/// let suite = generate_suite_scaled(SuiteKind::PgRegress, 7, 0.03);
+/// let builder = Harness::builder().suite(&suite).host(EngineDialect::Sqlite);
+/// let mut run = builder.clone().build().expect("a suite was configured").run();
+/// annotate_run(&builder, &mut run.summary, &StabilityConfig::default().with_reruns(1));
+/// assert!(run.summary.failures.iter().all(|case| match &case.result.outcome {
+///     Outcome::Fail(info) => info.signature.stability.is_some(),
+///     _ => true,
+/// }));
+/// ```
+pub fn annotate_run(
+    preset: &HarnessBuilder<'_>,
+    summary: &mut SuiteRunSummary,
+    config: &StabilityConfig,
+) {
+    let mut targets: Vec<Target<'_>> = Vec::new();
+    let mut seen: HashMap<FailureSignature, usize> = HashMap::new();
+    for case in &summary.failures {
+        let Outcome::Fail(info) = &case.result.outcome else { continue };
+        if seen.contains_key(&info.signature) {
+            continue;
+        }
+        // The failing file is always among the run's own files; skipping a
+        // (impossible) miss beats poisoning the whole annotation pass.
+        let Some(file_preset) = preset.for_file(&case.file) else { continue };
+        seen.insert(info.signature.clone(), targets.len());
+        targets.push(Target {
+            preset: file_preset,
+            line: case.id.line as usize,
+            id: Some(case.id),
+            signature: Some(info.signature.clone()),
+            original: "fail",
+        });
+    }
+    let verdicts = classify_targets(&targets, config);
+    let verdicts: HashMap<FailureSignature, Stability> =
+        seen.into_iter().map(|(signature, at)| (signature, verdicts[at].clone())).collect();
+    stamp(summary, &verdicts);
+}
+
+/// The study's stability arm: cluster every failure, take one exemplar
+/// per cluster plus every deduplicated bug finding, classify each from
+/// the configuration its cell ran in ([`cell_run`] with the study's
+/// `plan_cache`), thread the verdicts back onto the study's failures and
+/// bugs, and file the report as `study.stability`. Annotated and
+/// pre-annotation signatures are distinct clustering keys by design:
+/// `stability` participates in `Eq`/`Hash`.
+pub(crate) fn classify_study(
+    study: &mut Study,
+    plan_cache: &Arc<PlanCache>,
+    config: &StabilityConfig,
+) {
     let (total_failures, clusters) = cluster_failures(study);
-    let targets = study_targets(study, &clusters);
-    let mut verdicts = classify_targets(&targets, config).into_iter();
-    let clusters = clusters
+    let verdicts = classify_targets(&study_targets(study, plan_cache, &clusters), config);
+    let (cluster_verdicts, bug_verdicts) = verdicts.split_at(clusters.len());
+    let clusters: Vec<ClusterVerdict> = clusters
         .iter()
-        .map(|c| ClusterVerdict {
+        .zip(cluster_verdicts)
+        .map(|(c, stability)| ClusterVerdict {
             signature: strip(&c.signature),
             count: c.count,
             cell: c.exemplar.cell.label(),
             class_label: c.class_label(),
             file: c.exemplar.file.clone(),
-            stability: verdicts.next().expect("one verdict per cluster"),
+            stability: stability.clone(),
         })
         .collect();
-    let bugs = study
+    let bugs: Vec<BugVerdict> = study
         .bugs
         .iter()
-        .map(|b| BugVerdict {
+        .zip(bug_verdicts)
+        .map(|(b, stability)| BugVerdict {
             host: b.host,
             is_crash: b.is_crash,
             file: b.incident.file.clone(),
             line: b.incident.line,
-            stability: verdicts.next().expect("one verdict per bug"),
+            stability: stability.clone(),
         })
         .collect();
-    StabilityReport { reruns: config.reruns, total_failures, clusters, bugs }
+
+    let by_signature: HashMap<FailureSignature, Stability> =
+        clusters.iter().map(|c| (c.signature.clone(), c.stability.clone())).collect();
+    for run in &mut study.donor_runs {
+        stamp(run, &by_signature);
+    }
+    for cell in study.matrix.iter_mut().chain(&mut study.translated_matrix) {
+        stamp(&mut cell.summary, &by_signature);
+    }
+    for (bug, verdict) in study.bugs.iter_mut().zip(&bugs) {
+        bug.stability = Some(verdict.stability.clone());
+    }
+    study.stability =
+        Some(StabilityReport { reruns: config.reruns, total_failures, clusters, bugs });
 }
 
 /// One target per cluster exemplar, then one per bug finding, each
-/// preset from its study cell's [`CellRef::builder`].
-fn study_targets<'s>(study: &'s Study, clusters: &[FailureCluster]) -> Vec<Target<'s>> {
+/// preset from the configuration its study cell ran in.
+fn study_targets<'s>(
+    study: &'s Study,
+    plan_cache: &Arc<PlanCache>,
+    clusters: &[FailureCluster],
+) -> Vec<Target<'s>> {
     let preset = |cell: CellRef, name: &str| {
-        let gs = study.suite(cell.suite);
-        let file = gs.files.iter().find(|f| f.name == name).expect("target file is in its suite");
-        for_file(cell.builder().environment(&gs.environment), cell.suite, &cell.label(), file)
+        cell_run(cell, &study.suites, &study.config, plan_cache)
+            .for_file(name)
+            .expect("target file is in its suite")
     };
     let clusters = clusters.iter().map(|cluster| Target {
         preset: preset(cluster.exemplar.cell, &cluster.exemplar.file),
@@ -313,75 +367,13 @@ fn study_targets<'s>(study: &'s Study, clusters: &[FailureCluster]) -> Vec<Targe
     clusters.chain(bugs).collect()
 }
 
-/// Thread a report's verdicts back onto the study: every failure whose
-/// signature matches a classified cluster gets
-/// `signature.stability = Some(verdict)` — in the donor runs and both
-/// matrix arms — and every bug finding gets its verdict. Annotated and
-/// pre-annotation signatures are distinct clustering keys by design:
-/// `stability` participates in `Eq`/`Hash`.
-pub fn annotate_study(study: &mut Study, report: &StabilityReport) {
-    let verdicts: HashMap<FailureSignature, Stability> =
-        report.clusters.iter().map(|c| (c.signature.clone(), c.stability.clone())).collect();
-    let annotate = |summary: &mut SuiteRunSummary| {
-        for case in &mut summary.failures {
-            if let Outcome::Fail(info) = &mut case.result.outcome {
-                if let Some(verdict) = verdicts.get(&info.signature) {
-                    info.signature.stability = Some(verdict.clone());
-                }
-            }
-        }
-    };
-    for run in &mut study.donor_runs {
-        annotate(run);
-    }
-    for cell in &mut study.matrix {
-        annotate(&mut cell.summary);
-    }
-    for cell in &mut study.translated_matrix {
-        annotate(&mut cell.summary);
-    }
-    for (bug, verdict) in study.bugs.iter_mut().zip(&report.bugs) {
-        bug.stability = Some(verdict.stability.clone());
-    }
-}
-
-/// The harness-level entry point: classify every distinct failure
-/// signature of one finished run and annotate the summary's failures in
-/// place. Called by `Harness::run` when
-/// [`stability`](crate::HarnessBuilder::stability) is configured, with a
-/// `preset` of its own configuration and its run `label`.
-pub(crate) fn annotate_summary<'a>(
-    preset: &HarnessBuilder<'a>,
-    kind: SuiteKind,
-    label: &str,
-    files: &'a [TestFile],
-    summary: &mut SuiteRunSummary,
-    config: &StabilityConfig,
-) {
-    let mut targets: Vec<Target<'_>> = Vec::new();
-    let mut seen: HashMap<FailureSignature, usize> = HashMap::new();
-    for case in &summary.failures {
-        let Outcome::Fail(info) = &case.result.outcome else { continue };
-        if seen.contains_key(&info.signature) {
-            continue;
-        }
-        // The failing file is always among the run's own files; skipping a
-        // (impossible) miss beats poisoning the whole annotation pass.
-        let Some(file) = files.iter().find(|f| f.name == case.file) else { continue };
-        seen.insert(info.signature.clone(), targets.len());
-        targets.push(Target {
-            preset: for_file(preset.clone(), kind, label, file),
-            line: case.id.line as usize,
-            id: Some(case.id),
-            signature: Some(info.signature.clone()),
-            original: "fail",
-        });
-    }
-    let verdicts = classify_targets(&targets, config);
+/// Set `signature.stability` on every failure of `summary` whose signature
+/// has a verdict.
+fn stamp(summary: &mut SuiteRunSummary, verdicts: &HashMap<FailureSignature, Stability>) {
     for case in &mut summary.failures {
         if let Outcome::Fail(info) = &mut case.result.outcome {
-            if let Some(&at) = seen.get(&info.signature) {
-                info.signature.stability = Some(verdicts[at].clone());
+            if let Some(verdict) = verdicts.get(&info.signature) {
+                info.signature.stability = Some(verdict.clone());
             }
         }
     }
@@ -391,16 +383,16 @@ pub(crate) fn annotate_summary<'a>(
 /// back in target order whatever the worker count, and the calling thread
 /// is one of the workers.
 fn classify_targets(targets: &[Target<'_>], config: &StabilityConfig) -> Vec<Stability> {
-    pool(config.workers, targets.len(), |_: &mut (), i| classify_target(&targets[i], i, config)).0
+    pool(config.workers, targets.len(), |_: &mut (), i| classify_target(&targets[i], config)).0
 }
 
 /// The rerun + perturbation matrix for one target. Baseline reruns come
 /// first — any divergence is flakiness and the axes are not consulted —
 /// then each axis in [`PerturbationAxis::ALL`] order, first flip wins.
-fn classify_target(target: &Target<'_>, index: usize, config: &StabilityConfig) -> Stability {
+fn classify_target(target: &Target<'_>, config: &StabilityConfig) -> Stability {
     let mut observed: Vec<&'static str> = vec![target.original];
     for _ in 0..config.reruns {
-        observed.push(probe(target, Variation::Baseline, index, config));
+        observed.push(probe(target, Variation::Baseline));
     }
     let mut distinct = observed;
     distinct.sort_unstable();
@@ -411,68 +403,46 @@ fn classify_target(target: &Target<'_>, index: usize, config: &StabilityConfig) 
         };
     }
     for axis in PerturbationAxis::ALL {
-        if axis == PerturbationAxis::BackendSchedule && !config.fault_schedules {
+        if axis == PerturbationAxis::Backend && !config.backend_axis {
             continue;
         }
-        if probe(target, Variation::Axis(axis), index, config) != target.original {
+        if probe(target, Variation::Axis(axis)) != target.original {
             return Stability::PerturbationSensitive { axis };
         }
     }
     Stability::Stable
 }
 
-/// `preset` narrowed to one `kind` file, labelled after the cell it
-/// replays.
-fn for_file<'a>(
-    preset: HarnessBuilder<'a>,
-    kind: SuiteKind,
-    label: &str,
-    file: &'a TestFile,
-) -> HarnessBuilder<'a> {
-    preset.files(kind, std::slice::from_ref(file)).label(format!("stability {label} {}", file.name))
-}
-
-/// Execute one probe: the target's preset with at most one knob
-/// perturbed, read back as an outcome label.
-fn probe(
-    target: &Target<'_>,
-    variation: Variation,
-    index: usize,
-    config: &StabilityConfig,
-) -> &'static str {
-    let preset = target.preset.clone();
-    let builder = match variation {
-        Variation::Baseline => preset,
-        // Through the parallel scheduler, the determinism contract's own
-        // axis. (A single file clamps to one worker.)
-        Variation::Axis(PerturbationAxis::Workers) => preset.workers(2),
+/// Execute one probe: the target's preset with at most one knob flipped,
+/// read back as an outcome label.
+fn probe(target: &Target<'_>, variation: Variation) -> &'static str {
+    let mut builder = target.preset.clone();
+    match variation {
+        Variation::Baseline => {}
         Variation::Axis(PerturbationAxis::ExecStrategy) => {
-            preset.exec_strategy(ExecStrategy::Naive)
+            builder.exec_strategy = match builder.exec_strategy {
+                ExecStrategy::Hash => ExecStrategy::Naive,
+                ExecStrategy::Naive => ExecStrategy::Hash,
+            };
         }
-        // The original cells run without a plan cache; the perturbation
-        // is attaching a fresh one.
-        Variation::Axis(PerturbationAxis::PlanCache) => preset.plan_cache(PlanCache::shared()),
+        Variation::Axis(PerturbationAxis::PlanCache) => {
+            builder.plan_cache = match builder.plan_cache {
+                Some(_) => None,
+                None => Some(PlanCache::shared()),
+            };
+        }
         Variation::Axis(PerturbationAxis::FaultProfile) => {
-            let flipped = flip_faults(preset.faults);
-            preset.faults(flipped)
+            builder.faults = flip_faults(builder.faults);
         }
-        Variation::Axis(PerturbationAxis::BackendSchedule) => {
-            // Behind a worker process under a seeded crash/hang schedule.
-            // Both hooks are always set — the unused one to 0, which the
-            // worker can never reach — so parent-process hooks are
-            // overridden rather than inherited.
-            let (crash, after) = seeded_schedule(config.seed, index);
-            let (crash_after, hang_after) = if crash { (after, 0) } else { (0, after) };
-            preset
-                .backend(
-                    BackendSpec::subprocess()
-                        .with_deadline(config.backend_deadline)
-                        .with_max_restarts(1),
-                )
-                .backend_env("SQUALITY_CRASH_AFTER", crash_after.to_string())
-                .backend_env("SQUALITY_HANG_AFTER", hang_after.to_string())
+        // No fault hooks are added: the question is whether the failure
+        // crosses the process boundary, not whether the worker survives.
+        Variation::Axis(PerturbationAxis::Backend) => {
+            builder.backend = match builder.backend {
+                BackendSpec::InProcess => BackendSpec::subprocess(),
+                BackendSpec::Subprocess { .. } => BackendSpec::InProcess,
+            };
         }
-    };
+    }
     observe(&builder.build().expect("files are always set").run().summary, target)
 }
 
@@ -512,17 +482,6 @@ fn flip_faults(faults: FaultProfile) -> FaultProfile {
     } else {
         FaultProfile::all_fixed()
     }
-}
-
-fn lcg(state: u64) -> u64 {
-    state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407)
-}
-
-/// Seeded per-target schedule for the backend axis: crash or hang (by
-/// parity) after 1–6 statements. Deterministic in (seed, target index).
-fn seeded_schedule(seed: u64, index: usize) -> (bool, u64) {
-    let s = lcg(lcg(seed ^ index as u64));
-    (s & 1 == 0, 1 + (s >> 33) % 6)
 }
 
 /// A signature with the stability annotation removed — the form every
@@ -618,12 +577,14 @@ mod tests {
 
     #[test]
     fn stability_table_is_deterministic_across_worker_counts() {
-        let study = run_study(StudyConfig::default().with_seed(21).with_scale(0.05));
-        let run = |workers: usize| {
-            stability_report(
-                &study,
-                &StabilityConfig::default().with_reruns(2).with_workers(workers),
-            )
+        let mut study = run_study(StudyConfig::default().with_seed(21).with_scale(0.05));
+        let plan_cache = PlanCache::shared();
+        // Re-classifying an annotated study reads the same clusters: every
+        // failure of a cluster carries the same verdict.
+        let mut run = |workers: usize| {
+            let config = StabilityConfig::default().with_reruns(2).with_workers(workers);
+            classify_study(&mut study, &plan_cache, &config);
+            study.stability.take().expect("the arm files its report")
         };
         let base = run(1);
         let base_table = crate::report::stability_table(&base);
@@ -647,28 +608,29 @@ mod tests {
         // Every in-process probe runs the target's preset with one builder
         // knob changed. Read axis by axis, the outcomes must add up to the
         // verdicts `every_target_is_classified_and_faults_read_sensitive`
-        // checks: the cell replays its observation, scheduling, strategy
-        // and plan cache never move a deterministic engine, and only the
+        // checks: the cell replays its observation, strategy and plan
+        // cache never move a deterministic engine, and only the
         // fault-profile flip makes the injected crashes vanish.
         let s = run_study(StudyConfig::default().with_seed(21).with_scale(0.06));
         let (_, clusters) = cluster_failures(&s);
-        let targets = study_targets(&s, &clusters);
+        let targets = study_targets(&s, &PlanCache::shared(), &clusters);
         assert_eq!(targets.len(), clusters.len() + s.bugs.len());
-        assert_eq!(
-            targets[0].preset.faults,
-            FaultProfile::default(),
-            "study cells run paper faults"
-        );
-        let config = StabilityConfig::default();
+        // The presets are the study's cell configuration: paper faults,
+        // the hash strategy and the shared plan cache.
+        for target in &targets {
+            assert_eq!(
+                target.preset.faults,
+                FaultProfile::default(),
+                "study cells run paper faults"
+            );
+            assert_eq!(target.preset.exec_strategy, ExecStrategy::Hash);
+            assert!(target.preset.plan_cache.is_some(), "study cells share a plan cache");
+        }
         let (mut crashes, mut fault_flips) = (0, 0);
         for (i, target) in targets.iter().enumerate() {
-            let read = |variation| probe(target, variation, i, &config);
+            let read = |variation| probe(target, variation);
             assert_eq!(read(Variation::Baseline), target.original, "target {i} baseline");
-            for axis in [
-                PerturbationAxis::Workers,
-                PerturbationAxis::ExecStrategy,
-                PerturbationAxis::PlanCache,
-            ] {
+            for axis in [PerturbationAxis::ExecStrategy, PerturbationAxis::PlanCache] {
                 assert_eq!(read(Variation::Axis(axis)), target.original, "target {i} {axis:?}");
             }
             let fixed = read(Variation::Axis(PerturbationAxis::FaultProfile));
@@ -684,18 +646,5 @@ mod tests {
         // Nondeterministic targets exist, and ordinary clusters stay put.
         assert!(fault_flips >= crashes);
         assert!(fault_flips < targets.len(), "every target flipped");
-    }
-
-    #[test]
-    fn seeded_schedules_are_deterministic_and_varied() {
-        let a: Vec<(bool, u64)> = (0..16).map(|i| seeded_schedule(0x57AB1E, i)).collect();
-        let b: Vec<(bool, u64)> = (0..16).map(|i| seeded_schedule(0x57AB1E, i)).collect();
-        assert_eq!(a, b);
-        assert!(a.iter().any(|(crash, _)| *crash));
-        assert!(a.iter().any(|(crash, _)| !*crash));
-        assert!(a.iter().all(|(_, after)| (1..=6).contains(after)));
-        // A different seed reshuffles.
-        let c: Vec<(bool, u64)> = (0..16).map(|i| seeded_schedule(7, i)).collect();
-        assert_ne!(a, c);
     }
 }

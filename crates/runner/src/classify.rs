@@ -195,43 +195,40 @@ impl FailureSignature {
 
 /// One axis of the stability arm's perturbation matrix.
 ///
-/// Each axis names one environmental knob the rerun subsystem flips while
-/// holding everything else at the baseline configuration. An axis whose
-/// flip changes a failure's observed outcome makes the failure
-/// [`PerturbationSensitive`](Stability::PerturbationSensitive).
+/// Each axis names one configuration knob the rerun subsystem flips while
+/// holding everything else at the configuration that produced the
+/// failure. An axis whose flip changes a failure's observed outcome makes
+/// the failure [`PerturbationSensitive`](Stability::PerturbationSensitive).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PerturbationAxis {
-    /// Scheduler worker count (the determinism contract's own axis).
-    Workers,
-    /// Execution strategy: hash-based vs the naive nested-loop oracle.
+    /// Execution strategy: hash-based ↔ the naive nested-loop oracle.
     ExecStrategy,
-    /// Shared statement-plan cache on vs off.
+    /// Shared statement-plan cache present ↔ absent.
     PlanCache,
-    /// Engine fault-injection profile: paper-faithful faults vs all-fixed.
+    /// Engine fault-injection profile: paper-faithful faults ↔ all-fixed.
     FaultProfile,
-    /// Subprocess-backend fault schedule (seeded crash/hang injection).
-    BackendSchedule,
+    /// Where the engine runs: in-process ↔ a subprocess worker (with no
+    /// fault hooks of its own).
+    Backend,
 }
 
 impl PerturbationAxis {
     /// Short label used in stability verdicts and the report table.
     pub fn label(self) -> &'static str {
         match self {
-            PerturbationAxis::Workers => "workers",
             PerturbationAxis::ExecStrategy => "exec-strategy",
             PerturbationAxis::PlanCache => "plan-cache",
             PerturbationAxis::FaultProfile => "fault-profile",
-            PerturbationAxis::BackendSchedule => "backend-schedule",
+            PerturbationAxis::Backend => "backend",
         }
     }
 
     /// Every axis, in the fixed order the rerun arm probes them.
-    pub const ALL: [PerturbationAxis; 5] = [
-        PerturbationAxis::Workers,
+    pub const ALL: [PerturbationAxis; 4] = [
         PerturbationAxis::ExecStrategy,
         PerturbationAxis::PlanCache,
         PerturbationAxis::FaultProfile,
-        PerturbationAxis::BackendSchedule,
+        PerturbationAxis::Backend,
     ];
 }
 

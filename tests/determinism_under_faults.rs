@@ -1,24 +1,43 @@
 //! Determinism under fault injection: the contract that summaries and
 //! JSONL event logs are byte-identical at any worker count must survive
-//! the *fault* paths too — subprocess workers crashing on injected
-//! schedules, bounded restarts, and the stability arm's seeded backend
-//! probes. A crash that moved with worker placement would make flakiness
-//! verdicts themselves flaky.
+//! the *fault* paths too — subprocess workers crashing on injected hooks,
+//! bounded restarts, and the stability arm's backend probes. A crash that
+//! moved with worker placement would make flakiness verdicts themselves
+//! flaky.
 
-use squality::core::{BackendSpec, Harness, StabilityConfig};
+use squality::core::{annotate_run, BackendSpec, Harness, StabilityConfig};
 use squality::corpus::generate_suite_scaled;
 use squality::engine::EngineDialect;
-use squality::formats::SuiteKind;
-use squality::runner::{FailKind, JsonlObserver, Outcome};
+use squality::formats::{parse_slt, SltFlavor, SuiteKind};
+use squality::runner::{FailKind, JsonlObserver, Outcome, PerturbationAxis, Stability};
 use std::path::PathBuf;
 use std::process::Command;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Worker-binary discovery rides on process-global environment state —
-/// serialize the tests that spawn subprocess backends.
-fn env_lock() -> &'static Mutex<()> {
+/// Worker-binary discovery and the workers' fault hooks ride on
+/// process-global environment state — serialize the tests that spawn
+/// subprocess backends.
+fn env_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
+    LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// A worker fault hook set in this process's environment, which every
+/// subprocess backend forwards to its workers; removed on drop. Set only
+/// while holding [`env_lock`].
+struct Hook(&'static str);
+
+impl Hook {
+    fn set(key: &'static str, after: u64) -> Hook {
+        std::env::set_var(key, after.to_string());
+        Hook(key)
+    }
+}
+
+impl Drop for Hook {
+    fn drop(&mut self) {
+        std::env::remove_var(self.0);
+    }
 }
 
 /// Locate `squality-backend-worker` next to this test binary, building it
@@ -56,14 +75,16 @@ fn subprocess_spec() -> BackendSpec {
     }
 }
 
-/// With a crash schedule injected into every worker, the run must still
-/// be byte-identical at workers 1, 2, and 8: the worker counts execs per
+/// With a crash hook injected into every worker, the run must still be
+/// byte-identical at workers 1, 2, and 8: the worker counts execs per
 /// *file* (its counter resets on the RESET frame), and the restart
 /// budget is per file too, so every crash point is a function of the
 /// file alone — worker placement cannot move it.
 #[test]
 fn crash_injected_run_is_byte_identical_at_any_worker_count() {
-    let _guard = env_lock().lock().unwrap();
+    let _guard = env_lock();
+    let _crash = Hook::set("SQUALITY_CRASH_AFTER", 7);
+    std::env::remove_var("SQUALITY_HANG_AFTER");
     let gs = generate_suite_scaled(SuiteKind::Slt, 13, 0.05);
     let run_at = |workers: usize| {
         let events = JsonlObserver::new();
@@ -72,11 +93,6 @@ fn crash_injected_run_is_byte_identical_at_any_worker_count() {
             .host(EngineDialect::Sqlite)
             .workers(workers)
             .backend(subprocess_spec())
-            // Injected through the harness, not process-global env state;
-            // the explicit "0" keeps the hang hook off even if the parent
-            // environment carries one.
-            .backend_env("SQUALITY_CRASH_AFTER", "7")
-            .backend_env("SQUALITY_HANG_AFTER", "0")
             .observer(&events)
             .build()
             .expect("suite configured")
@@ -86,7 +102,7 @@ fn crash_injected_run_is_byte_identical_at_any_worker_count() {
 
     let (base, base_log) = run_at(1);
     let faults = base.backend_faults.expect("subprocess runs report fault counters");
-    assert!(faults.crashes >= 1, "the schedule must kill at least one worker: {faults:?}");
+    assert!(faults.crashes >= 1, "the hook must kill at least one worker: {faults:?}");
     assert!(faults.restarts >= 1, "crashed workers must be restarted: {faults:?}");
     assert!(
         base.summary.failures.iter().any(|f| matches!(
@@ -108,32 +124,23 @@ fn crash_injected_run_is_byte_identical_at_any_worker_count() {
     }
 }
 
-/// The stability arm's seeded fault-schedule axis spawns real subprocess
-/// probes; the verdicts it stitches onto the summary must nonetheless be
-/// identical at every harness *and* analysis worker count.
+/// The backend axis spawns real subprocess probes; the verdicts it
+/// stitches onto the summary must nonetheless be identical at every
+/// harness *and* analysis worker count.
 #[test]
-fn stability_verdicts_under_fault_schedules_match_at_any_worker_count() {
-    let _guard = env_lock().lock().unwrap();
-    // The arm discovers the worker binary itself at probe time — pin it
+fn backend_axis_verdicts_match_at_any_worker_count() {
+    let _guard = env_lock();
+    // The axis discovers the worker binary itself at probe time — pin it
     // so a bare `cargo test` needs no prior whole-workspace build.
     std::env::set_var("SQUALITY_BACKEND_WORKER", worker_bin());
     let gs = generate_suite_scaled(SuiteKind::Slt, 11, 0.04);
     let run_at = |workers: usize| {
-        Harness::builder()
-            .suite(&gs)
-            .host(EngineDialect::Duckdb)
-            .workers(workers)
-            .stability(
-                StabilityConfig::default()
-                    .with_reruns(2)
-                    .with_workers(workers)
-                    .with_fault_schedules(true)
-                    .with_backend_deadline(std::time::Duration::from_millis(100)),
-            )
-            .build()
-            .expect("suite configured")
-            .run()
-            .summary
+        let builder = Harness::builder().suite(&gs).host(EngineDialect::Duckdb).workers(workers);
+        let mut summary = builder.clone().build().expect("suite configured").run().summary;
+        let config =
+            StabilityConfig::default().with_reruns(2).with_workers(workers).with_backend_axis(true);
+        annotate_run(&builder, &mut summary, &config);
+        summary
     };
 
     let base = run_at(1);
@@ -157,4 +164,96 @@ fn stability_verdicts_under_fault_schedules_match_at_any_worker_count() {
     assert_eq!(eight.failures, base.failures, "workers=8: verdicts diverged");
     assert_eq!(two.failed, base.failed);
     assert_eq!(eight.failed, base.failed);
+}
+
+/// The stability arm re-runs a failure in the configuration that produced
+/// it. A worker crash behind a subprocess backend reproduces on every
+/// baseline rerun (the probes run behind the same backend, and the hook
+/// is part of their environment), survives every in-process axis, and
+/// vanishes only when the backend flips to in-process: the verdict is
+/// `sensitive[backend]`. Probes that re-ran the file in-process would read
+/// `flaky[fail|pass]` instead.
+#[test]
+fn a_worker_crash_reads_sensitive_to_the_backend() {
+    let _guard = env_lock();
+    let _crash = Hook::set("SQUALITY_CRASH_AFTER", 7);
+    std::env::remove_var("SQUALITY_HANG_AFTER");
+    let gs = generate_suite_scaled(SuiteKind::Slt, 13, 0.05);
+    let builder =
+        Harness::builder().suite(&gs).host(EngineDialect::Sqlite).backend(subprocess_spec());
+    let mut summary = builder.clone().build().expect("suite configured").run().summary;
+    let config = StabilityConfig::default().with_reruns(2).with_workers(1).with_backend_axis(true);
+    annotate_run(&builder, &mut summary, &config);
+
+    let verdicts: Vec<&Option<Stability>> = summary
+        .failures
+        .iter()
+        .filter_map(|f| match &f.result.outcome {
+            Outcome::Fail(info) if info.kind == FailKind::BackendCrash => {
+                Some(&info.signature.stability)
+            }
+            _ => None,
+        })
+        .collect();
+    assert!(!verdicts.is_empty(), "the hook must surface as classified crashes");
+    let backend = Stability::PerturbationSensitive { axis: PerturbationAxis::Backend };
+    for verdict in verdicts {
+        assert_eq!(verdict.as_ref(), Some(&backend), "a worker crash misclassified");
+    }
+}
+
+/// The crash hook as a self-check with a known answer. The file sends
+/// five statements, and its fourth record fails on its own. A kill at any
+/// statement up to that record surfaces as a classified crash on or
+/// before it; a kill after the file's last statement never fires and
+/// leaves the summary equal to a run without a hook.
+#[test]
+fn a_crash_hook_reads_as_its_known_answer() {
+    let _guard = env_lock();
+    std::env::remove_var("SQUALITY_CRASH_AFTER");
+    std::env::remove_var("SQUALITY_HANG_AFTER");
+    let text = "statement ok\nCREATE TABLE t(a INTEGER)\n\n\
+                statement ok\nINSERT INTO t VALUES (1)\n\n\
+                statement ok\nINSERT INTO t VALUES (2)\n\n\
+                query I nosort\nSELECT a FROM t ORDER BY a\n----\n1\n3\n\n\
+                statement ok\nDROP TABLE t\n";
+    let files = [parse_slt("hook.test", text, SltFlavor::Classic)];
+    let run = || {
+        Harness::builder()
+            .files(SuiteKind::Slt, &files)
+            .host(EngineDialect::Sqlite)
+            .backend(subprocess_spec())
+            .build()
+            .expect("files configured")
+            .run()
+            .summary
+    };
+
+    let clean = run();
+    let [target] = clean.failures.as_slice() else {
+        panic!("exactly the query record must fail: {:?}", clean.failures)
+    };
+    assert!(clean.crashes.is_empty() && clean.hangs.is_empty(), "{clean:?}");
+    assert_eq!(target.id.ordinal, 3, "the failing query is the fourth statement");
+
+    for after in 1..=u64::from(target.id.ordinal) + 1 {
+        let _crash = Hook::set("SQUALITY_CRASH_AFTER", after);
+        let hooked = run();
+        let crashed_record = hooked.failures.iter().any(|f| {
+            f.id.line <= target.id.line
+                && matches!(
+                    &f.result.outcome,
+                    Outcome::Fail(info) if info.kind == FailKind::BackendCrash
+                )
+        });
+        let crashed_file = hooked.crashes.iter().any(|c| c.line <= target.id.line as usize);
+        assert!(
+            crashed_record || crashed_file,
+            "a kill at statement {after} is no classified crash on or before line {}: {hooked:?}",
+            target.id.line
+        );
+    }
+
+    let _past_the_end = Hook::set("SQUALITY_CRASH_AFTER", 6);
+    assert_eq!(format!("{:?}", run()), format!("{clean:?}"), "a hook past the file fired");
 }

@@ -420,7 +420,7 @@ proptest! {
         noise in prop::collection::vec(noise_record_strategy(), 1..5),
         fail_kind in 0i64..3,
     ) {
-        use squality::core::{Harness, StabilityConfig};
+        use squality::core::{annotate_run, Harness, StabilityConfig};
         use squality::runner::{Outcome, Stability};
 
         let failing = match fail_kind {
@@ -437,14 +437,11 @@ proptest! {
 
         for dialect in EngineDialect::ALL {
             let run = || {
-                Harness::builder()
-                    .files(SuiteKind::Slt, &files)
-                    .host(dialect)
-                    .stability(StabilityConfig::default().with_reruns(1).with_workers(1))
-                    .build()
-                    .unwrap()
-                    .run()
-                    .summary
+                let builder = Harness::builder().files(SuiteKind::Slt, &files).host(dialect);
+                let mut summary = builder.clone().build().unwrap().run().summary;
+                let config = StabilityConfig::default().with_reruns(1).with_workers(1);
+                annotate_run(&builder, &mut summary, &config);
+                summary
             };
             let first = run();
             let second = run();

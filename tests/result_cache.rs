@@ -89,34 +89,40 @@ fn warm_study_replays_byte_identically() {
     }
 }
 
-/// Stability runs bypass the result cache entirely: verdicts must come
-/// from live perturbed re-execution, never replayed entries — a harness
-/// carrying **both** a cache and a stability config performs zero
-/// lookups and zero stores, and leaves the cache cold for later runs.
+/// The stability arm never touches the result cache: verdicts must come
+/// from live re-execution, never replayed entries. After a cold cached
+/// run, every file of the cell is in the cache under the key a probe of
+/// the same configuration would look up — yet annotating the run from
+/// its own builder, which carries the cache, adds zero lookups, zero
+/// stores and zero hits.
 #[test]
 fn stability_runs_never_touch_the_result_cache() {
-    use squality::core::StabilityConfig;
+    use squality::core::{annotate_run, StabilityConfig};
     use squality::runner::Outcome;
 
     let dir = TempCacheDir::new("stability");
     let gs = generate_suite_scaled(SuiteKind::Slt, 11, 0.05);
     let cache = dir.cache();
+    let builder =
+        Harness::builder().suite(&gs).host(EngineDialect::Duckdb).result_cache(Arc::clone(&cache));
+    let mut run = builder.clone().build().expect("suite configured").run();
 
-    let run = Harness::builder()
-        .suite(&gs)
-        .host(EngineDialect::Duckdb)
-        .result_cache(Arc::clone(&cache))
-        .stability(StabilityConfig::default().with_reruns(1).with_workers(1))
-        .build()
-        .expect("suite configured")
-        .run();
+    let cold = cache.stats();
+    assert_eq!(cold.hits, 0, "the cache starts cold");
+    assert_eq!(cold.misses, gs.files.len() as u64);
+    assert_eq!(cold.stores, gs.files.len() as u64);
 
-    let stats = cache.stats();
-    assert_eq!(stats.hits, 0, "stability run answered files from the cache");
-    assert_eq!(stats.misses, 0, "stability run performed cache lookups");
-    assert_eq!(stats.stores, 0, "stability run stored results");
+    annotate_run(
+        &builder,
+        &mut run.summary,
+        &StabilityConfig::default().with_reruns(1).with_workers(1),
+    );
+    let after = cache.stats();
+    assert_eq!(after.hits, cold.hits, "stability probes answered files from the cache");
+    assert_eq!(after.misses, cold.misses, "stability probes performed cache lookups");
+    assert_eq!(after.stores, cold.stores, "stability probes stored results");
 
-    // The bypass still produced a live, fully-annotated run.
+    // The probes still produced a live, fully-annotated run.
     assert!(run.summary.failed > 0, "this cross-host cell should fail records");
     for f in &run.summary.failures {
         let Outcome::Fail(info) = &f.result.outcome else { continue };
@@ -126,21 +132,6 @@ fn stability_runs_never_touch_the_result_cache() {
             info.signature.normalized
         );
     }
-
-    // The same cell without the stability arm uses the cache normally —
-    // and starts cold, proving the arm really stored nothing.
-    let plain = Harness::builder()
-        .suite(&gs)
-        .host(EngineDialect::Duckdb)
-        .result_cache(Arc::clone(&cache))
-        .build()
-        .expect("suite configured")
-        .run();
-    let stats = cache.stats();
-    assert_eq!(stats.hits, 0, "the stability run must not have warmed the cache");
-    assert_eq!(stats.misses, gs.files.len() as u64);
-    assert_eq!(stats.stores, gs.files.len() as u64);
-    assert_eq!(plain.summary.failed, run.summary.failed);
 }
 
 /// File-level invalidation: editing one file's content re-executes exactly
