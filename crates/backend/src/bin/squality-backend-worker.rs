@@ -3,10 +3,11 @@
 //! The connection carries the provisioned files and extensions, and the
 //! engine's coverage, across `RESET`s exactly as it does in-process.
 //!
-//! Invocation: `squality-backend-worker <dialect> <client> <fault-bits>`
-//! where `<dialect>` is an engine token (`sqlite`, `postgresql`,
-//! `duckdb`, `mysql`), `<client>` is `cli` or `connector`, and
-//! `<fault-bits>` is one `1`/`0` per [`FaultId::ALL`] entry.
+//! Invocation: `squality-backend-worker <dialect> <client> <fault-bits>
+//! <strategy> <plan-cache>`, the arguments [`WorkerArgs`] encodes. With
+//! `cached`, the worker owns a statement-plan cache shared by every file
+//! it runs. Any other argument list exits with status 2 before the
+//! handshake, which the harness reports as a connect failure.
 //!
 //! Fault-injection hooks for crash-containment tests (the `EXEC` counter
 //! resets on every `RESET` frame — the parent resets once per suite file,
@@ -20,37 +21,11 @@
 
 use squality_backend::protocol::{
     encode_coverage, encode_error, encode_result, parse_ext_request, parse_file_request,
-    read_frame, write_frame, PROTO_VERSION,
+    read_frame, write_frame, WorkerArgs, PROTO_VERSION,
 };
-use squality_engine::{ClientKind, EngineDialect, FaultId, FaultProfile};
+use squality_engine::PlanCache;
 use squality_runner::{Connector, EngineConnector};
 use std::io::Write;
-
-fn usage() -> ! {
-    eprintln!("usage: squality-backend-worker <dialect> <client> <fault-bits>");
-    std::process::exit(2);
-}
-
-fn parse_dialect(token: &str) -> Option<EngineDialect> {
-    Some(match token {
-        "sqlite" => EngineDialect::Sqlite,
-        "postgresql" => EngineDialect::Postgres,
-        "duckdb" => EngineDialect::Duckdb,
-        "mysql" => EngineDialect::Mysql,
-        _ => return None,
-    })
-}
-
-fn parse_faults(bits: &str) -> Option<FaultProfile> {
-    if bits.len() != FaultId::ALL.len() || !bits.bytes().all(|b| b == b'0' || b == b'1') {
-        return None;
-    }
-    let mut faults = FaultProfile::all_fixed();
-    for (id, bit) in FaultId::ALL.iter().zip(bits.bytes()) {
-        faults.set(*id, bit == b'1');
-    }
-    Some(faults)
-}
 
 fn hook(var: &str) -> Option<u64> {
     std::env::var(var).ok()?.parse().ok()
@@ -58,14 +33,12 @@ fn hook(var: &str) -> Option<u64> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let [dialect, client, bits] = args.as_slice() else { usage() };
-    let Some(dialect) = parse_dialect(dialect) else { usage() };
-    let client = match client.as_str() {
-        "cli" => ClientKind::Cli,
-        "connector" => ClientKind::Connector,
-        _ => usage(),
+    let Some(config) = WorkerArgs::parse(&args) else {
+        eprintln!(
+            "usage: squality-backend-worker <dialect> <client> <fault-bits> <strategy> <plan-cache>"
+        );
+        std::process::exit(2);
     };
-    let Some(faults) = parse_faults(bits) else { usage() };
 
     let crash_after = hook("SQUALITY_CRASH_AFTER");
     let hang_after = hook("SQUALITY_HANG_AFTER");
@@ -76,7 +49,11 @@ fn main() {
     let stdout = std::io::stdout();
     let mut writer = stdout.lock();
 
-    let mut conn = EngineConnector::with_faults(dialect, client, faults);
+    let mut conn = EngineConnector::with_faults(config.dialect, config.client, config.faults);
+    conn.set_exec_strategy(config.exec_strategy);
+    if config.plan_cache {
+        conn.set_plan_cache(PlanCache::shared());
+    }
 
     loop {
         let request = match read_frame(&mut reader) {

@@ -23,7 +23,11 @@
 //! in-process run. Rendering stays parent-side (the parent knows the
 //! dialect and client kind); the worker only ever ships typed values.
 
-use squality_engine::{Coverage, EngineError, ErrorKind, QueryResult, Value};
+use squality_engine::{
+    ClientKind, Coverage, EngineDialect, EngineError, ErrorKind, ExecStrategy, FaultId,
+    FaultProfile, QueryResult, Value,
+};
+use squality_runner::engine_token;
 use std::io::{BufRead, Write};
 
 /// Protocol version, exchanged in the HELLO handshake. Bump on any wire
@@ -439,6 +443,68 @@ pub fn parse_ext_request(rest: &[u8]) -> Result<String, String> {
     Ok(cur.counted_str()?.to_string())
 }
 
+/// The engine connection a worker process hosts, passed as its arguments
+/// `<dialect> <client> <fault-bits> <strategy> <plan-cache>`: an engine
+/// token, `cli` or `connector`, one `1`/`0` per [`FaultId::ALL`] entry,
+/// `hash` or `naive`, and `cached` (the worker owns a statement-plan
+/// cache) or `uncached`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WorkerArgs {
+    pub dialect: EngineDialect,
+    pub client: ClientKind,
+    pub faults: FaultProfile,
+    pub exec_strategy: ExecStrategy,
+    pub plan_cache: bool,
+}
+
+// One token table per argument, read by both directions.
+const CLIENTS: &[(ClientKind, &str)] =
+    &[(ClientKind::Cli, "cli"), (ClientKind::Connector, "connector")];
+const STRATEGIES: &[(ExecStrategy, &str)] =
+    &[(ExecStrategy::Hash, "hash"), (ExecStrategy::Naive, "naive")];
+const PLAN_CACHES: &[(bool, &str)] = &[(true, "cached"), (false, "uncached")];
+
+fn token<T: PartialEq>(table: &[(T, &'static str)], value: T) -> &'static str {
+    table.iter().find(|(v, _)| *v == value).expect("every value has a token").1
+}
+
+fn untoken<T: Copy>(table: &[(T, &str)], token: &str) -> Option<T> {
+    table.iter().find(|(_, t)| *t == token).map(|(v, _)| *v)
+}
+
+impl WorkerArgs {
+    /// The worker's command-line arguments.
+    pub fn encode(&self) -> [String; 5] {
+        let bits =
+            FaultId::ALL.iter().map(|id| if self.faults.is_enabled(*id) { '1' } else { '0' });
+        [
+            engine_token(self.dialect).to_string(),
+            token(CLIENTS, self.client).to_string(),
+            bits.collect(),
+            token(STRATEGIES, self.exec_strategy).to_string(),
+            token(PLAN_CACHES, self.plan_cache).to_string(),
+        ]
+    }
+
+    /// Parse what [`WorkerArgs::encode`] produced; `None` on anything else.
+    pub fn parse(args: &[String]) -> Option<WorkerArgs> {
+        let [dialect, client, bits, strategy, plan_cache] = args else { return None };
+        let mut faults = FaultProfile::all_fixed();
+        for (id, bit) in FaultId::ALL.iter().zip(bits.chars()) {
+            faults.set(*id, bit == '1');
+        }
+        let parsed = WorkerArgs {
+            dialect: EngineDialect::ALL.into_iter().find(|d| engine_token(*d) == dialect)?,
+            client: untoken(CLIENTS, client)?,
+            faults,
+            exec_strategy: untoken(STRATEGIES, strategy)?,
+            plan_cache: untoken(PLAN_CACHES, plan_cache)?,
+        };
+        // A fault string of the wrong length or alphabet does not encode back.
+        (parsed.encode() == *args).then_some(parsed)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -584,6 +650,50 @@ mod tests {
             b"COV L18446744073709551616:B0:",
         ] {
             assert!(parse_response(garbage).is_err(), "{garbage:?}");
+        }
+    }
+
+    #[test]
+    fn worker_args_roundtrip_every_configuration() {
+        let mut one_fault = FaultProfile::all_fixed();
+        one_fault.set(FaultId::MysqlJoinSearchHang, true);
+        let profiles = [FaultProfile::paper_versions(), FaultProfile::all_fixed(), one_fault];
+        let mut seen = std::collections::HashSet::new();
+        for dialect in EngineDialect::ALL {
+            for client in [ClientKind::Cli, ClientKind::Connector] {
+                for exec_strategy in [ExecStrategy::Hash, ExecStrategy::Naive] {
+                    for plan_cache in [false, true] {
+                        for faults in profiles {
+                            let sent =
+                                WorkerArgs { dialect, client, faults, exec_strategy, plan_cache };
+                            let args = sent.encode();
+                            assert_eq!(WorkerArgs::parse(&args), Some(sent), "{args:?}");
+                            assert!(seen.insert(args.clone()), "{args:?} encodes two configs");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_worker_args_are_rejected() {
+        let good = WorkerArgs {
+            dialect: EngineDialect::Duckdb,
+            client: ClientKind::Cli,
+            faults: FaultProfile::default(),
+            exec_strategy: ExecStrategy::Hash,
+            plan_cache: true,
+        }
+        .encode();
+        // The three-argument form an older worker binary took.
+        assert_eq!(WorkerArgs::parse(&good[..3]), None);
+        for (slot, bad) in
+            [(0, "oracle"), (1, "odbc"), (2, "10"), (2, "11111x"), (3, "vector"), (4, "on")]
+        {
+            let mut args = good.clone();
+            args[slot] = bad.to_string();
+            assert_eq!(WorkerArgs::parse(&args), None, "{args:?}");
         }
     }
 }

@@ -21,9 +21,11 @@
 
 use crate::protocol::{
     encode_ext_request, encode_file_request, parse_response, read_frame, write_frame, Response,
-    PROTO_VERSION,
+    WorkerArgs, PROTO_VERSION,
 };
-use squality_engine::{ClientKind, Coverage, EngineDialect, FaultProfile, QueryResult, Value};
+use squality_engine::{
+    ClientKind, Coverage, EngineDialect, ExecStrategy, FaultProfile, QueryResult, Value,
+};
 use squality_runner::{
     client_result_error, engine_info, engine_token, Connector, ConnectorError, ConnectorFactory,
     ConnectorInfo, Provisionable, Provisioned, TransportError, TransportErrorKind,
@@ -117,9 +119,7 @@ pub fn discover_worker_bin() -> Option<PathBuf> {
 #[derive(Debug, Clone)]
 struct SubprocessConfig {
     bin: PathBuf,
-    dialect: EngineDialect,
-    client: ClientKind,
-    faults: FaultProfile,
+    worker: WorkerArgs,
     deadline: Duration,
     max_restarts: u32,
     provisioned: Provisioned,
@@ -143,9 +143,13 @@ impl SubprocessConnectorFactory {
         SubprocessConnectorFactory {
             config: SubprocessConfig {
                 bin: bin.into(),
-                dialect,
-                client,
-                faults: FaultProfile::default(),
+                worker: WorkerArgs {
+                    dialect,
+                    client,
+                    faults: FaultProfile::default(),
+                    exec_strategy: ExecStrategy::default(),
+                    plan_cache: false,
+                },
                 deadline: DEFAULT_DEADLINE,
                 max_restarts: DEFAULT_MAX_RESTARTS,
                 provisioned: Provisioned::default(),
@@ -157,7 +161,20 @@ impl SubprocessConnectorFactory {
 
     /// Use an explicit engine fault profile.
     pub fn with_faults(mut self, faults: FaultProfile) -> Self {
-        self.config.faults = faults;
+        self.config.worker.faults = faults;
+        self
+    }
+
+    /// The engine's execution strategy in every worker (default: hash).
+    pub fn exec_strategy(mut self, strategy: ExecStrategy) -> Self {
+        self.config.worker.exec_strategy = strategy;
+        self
+    }
+
+    /// Give every worker its own statement-plan cache (default: none); a
+    /// restarted worker starts with an empty one.
+    pub fn plan_cache(mut self, on: bool) -> Self {
+        self.config.worker.plan_cache = on;
         self
     }
 
@@ -170,18 +187,6 @@ impl SubprocessConnectorFactory {
     /// Per-file restart budget (default [`DEFAULT_MAX_RESTARTS`]).
     pub fn max_restarts(mut self, max_restarts: u32) -> Self {
         self.config.max_restarts = max_restarts;
-        self
-    }
-
-    /// Every minted connection sees this data file (survives resets).
-    pub fn provide_file(mut self, path: &str, lines: Vec<String>) -> Self {
-        self.config.provisioned.file(path, lines);
-        self
-    }
-
-    /// Every minted connection has this extension loaded.
-    pub fn provide_extension(mut self, name: &str) -> Self {
-        self.config.provisioned.extension(name);
         self
     }
 
@@ -220,7 +225,7 @@ impl ConnectorFactory for SubprocessConnectorFactory {
     fn info(&self) -> ConnectorInfo {
         ConnectorInfo {
             backend_version: Some(format!("worker/{PROTO_VERSION}")),
-            ..engine_info(self.config.dialect, self.config.client).subprocess()
+            ..engine_info(self.config.worker.dialect, self.config.worker.client).subprocess()
         }
     }
 }
@@ -335,18 +340,9 @@ impl SubprocessConnector {
         if let Some(worker) = self.worker.take() {
             worker.kill();
         }
-        let faults: String = squality_engine::FaultId::ALL
-            .iter()
-            .map(|id| if self.config.faults.is_enabled(*id) { '1' } else { '0' })
-            .collect();
         let mut command = Command::new(&self.config.bin);
         command
-            .arg(engine_token(self.config.dialect))
-            .arg(match self.config.client {
-                ClientKind::Cli => "cli",
-                ClientKind::Connector => "connector",
-            })
-            .arg(&faults)
+            .args(self.config.worker.encode())
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::null());
@@ -498,14 +494,14 @@ impl Provisionable for SubprocessConnector {
 
 impl Connector for SubprocessConnector {
     fn engine_name(&self) -> &'static str {
-        engine_token(self.config.dialect)
+        engine_token(self.config.worker.dialect)
     }
 
     fn info(&self) -> ConnectorInfo {
         ConnectorInfo {
             backend_pid: self.backend_pid(),
             backend_version: Some(format!("worker/{PROTO_VERSION}")),
-            ..engine_info(self.config.dialect, self.config.client).subprocess()
+            ..engine_info(self.config.worker.dialect, self.config.worker.client).subprocess()
         }
     }
 
@@ -532,7 +528,8 @@ impl Connector for SubprocessConnector {
                 // Client-level behaviour stays on this side of the process
                 // boundary, like rendering: the worker ships raw engine
                 // results, the parent applies the client simulation.
-                match client_result_error(self.config.client, self.config.dialect, &result) {
+                let WorkerArgs { client, dialect, .. } = self.config.worker;
+                match client_result_error(client, dialect, &result) {
                     Some(error) => Err(ConnectorError::Engine(error)),
                     None => Ok(result),
                 }
@@ -553,7 +550,11 @@ impl Connector for SubprocessConnector {
         // Rendering is parent-side: the worker ships typed values with
         // exact bit patterns, the parent prints them the way this
         // dialect × client pair would.
-        squality_engine::client::render_slt_value(v, self.config.dialect, self.config.client)
+        squality_engine::client::render_slt_value(
+            v,
+            self.config.worker.dialect,
+            self.config.worker.client,
+        )
     }
 
     fn reset(&mut self) {

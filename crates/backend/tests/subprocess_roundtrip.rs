@@ -77,10 +77,10 @@ fn subprocess_results_match_in_process_results() {
 
 #[test]
 fn reset_clears_tables_but_keeps_environment() {
-    let factory = factory()
-        .provide_file("/data/onek.data", vec!["1|one".into()])
-        .provide_extension("regresslib");
+    let factory = factory();
     let mut conn = factory.connect().unwrap();
+    conn.provide_file("/data/onek.data", vec!["1|one".into()]);
+    conn.provide_extension("regresslib");
     run(&mut conn, "CREATE TABLE t(a INTEGER)").unwrap();
     conn.reset();
     assert!(run(&mut conn, "SELECT * FROM t").is_err(), "reset dropped the table");

@@ -84,117 +84,113 @@ use std::time::Duration;
 /// The default `--scale`: the full report.
 const REPORT_SCALE: f64 = 0.25;
 
-fn main() {
-    let mut sections: Vec<String> = Vec::new();
-    let mut scale = REPORT_SCALE;
-    let mut seed = 0x5C0A11u64;
-    let mut workers = 0usize;
-    let mut events_path: Option<String> = None;
-    let mut progress = false;
-    let mut reduce = false;
-    let mut out_dir: Option<String> = None;
-    let mut max_probes = 192usize;
-    let mut reruns = 3usize;
-    let mut backend_axis = false;
-    let mut backend_deadline_ms: Option<u64> = None;
-    let mut use_cache = false;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut store_dir: Option<PathBuf> = None;
-    let mut backend = BackendSpec::InProcess;
+/// Every study section this binary renders.
+const SECTIONS: &str = "table1 figure1 table2 figure2 table3 figure3 table4 table5 figure4 \
+                        table6 table7 table8 translation bugs all triage stability";
 
-    let mut args = std::env::args().skip(1);
+/// The parsed command line.
+struct Args {
+    sections: Vec<String>,
+    scale: f64,
+    seed: u64,
+    workers: usize,
+    events: Option<String>,
+    progress: bool,
+    reduce: bool,
+    out_dir: Option<String>,
+    max_probes: usize,
+    reruns: usize,
+    backend_axis: bool,
+    use_cache: bool,
+    cache_dir: Option<PathBuf>,
+    store_dir: Option<PathBuf>,
+    backend: BackendSpec,
+}
+
+/// Parse the arguments after the program name. `Err` carries the usage
+/// error (empty for `--help`); an unknown flag is one.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut a = Args {
+        sections: Vec::new(),
+        scale: REPORT_SCALE,
+        seed: 0x5C0A11,
+        workers: 0,
+        events: None,
+        progress: false,
+        reduce: false,
+        out_dir: None,
+        max_probes: 192,
+        reruns: 3,
+        backend_axis: false,
+        use_cache: false,
+        cache_dir: None,
+        store_dir: None,
+        backend: BackendSpec::InProcess,
+    };
+    let mut deadline_ms: Option<u64> = None;
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
+        let mut value = || args.next().ok_or(format!("missing value for {arg}"));
         match arg.as_str() {
-            "--cache" => use_cache = true,
-            "--no-cache" => {
-                use_cache = false;
-                cache_dir = None;
-            }
-            "--cache-dir" => {
-                use_cache = true;
-                cache_dir = Some(PathBuf::from(
-                    args.next().unwrap_or_else(|| usage("missing value for --cache-dir")),
-                ));
-            }
-            "--events" => {
-                events_path =
-                    Some(args.next().unwrap_or_else(|| usage("missing value for --events")));
-            }
-            "--progress" => progress = true,
-            "--reduce" => reduce = true,
-            "--out" => {
-                out_dir = Some(args.next().unwrap_or_else(|| usage("missing value for --out")));
-            }
-            "--store" => {
-                store_dir = Some(PathBuf::from(
-                    args.next().unwrap_or_else(|| usage("missing value for --store")),
-                ));
-            }
-            "--reruns" => {
-                reruns = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("missing value for --reruns"));
-            }
-            "--backend-axis" => backend_axis = true,
-            "--backend-deadline-ms" => {
-                backend_deadline_ms = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("missing value for --backend-deadline-ms")),
-                );
-            }
-            "--max-probes" => {
-                max_probes = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("missing value for --max-probes"));
-            }
-            "--scale" => {
-                scale = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("missing value for --scale"));
-            }
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("missing value for --seed"));
-            }
-            "--workers" => {
-                workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("missing value for --workers"));
-            }
-            "--backend" => {
-                backend = match args.next().as_deref() {
-                    Some("in-process") => BackendSpec::InProcess,
-                    Some("subprocess") => BackendSpec::subprocess(),
-                    other => usage(&format!(
-                        "--backend must be `in-process` or `subprocess`, got {}",
-                        other.unwrap_or("nothing")
-                    )),
-                };
-            }
-            "--help" | "-h" => usage(""),
-            s if s.starts_with('-') && !s.starts_with("--") && s.parse::<f64>().is_err() => {
-                usage(&format!("unknown flag {s}"))
-            }
-            other => sections.push(other.to_string()),
+            "--cache" => a.use_cache = true,
+            "--no-cache" => (a.use_cache, a.cache_dir) = (false, None),
+            "--cache-dir" => (a.use_cache, a.cache_dir) = (true, Some(value()?.into())),
+            "--events" => a.events = Some(value()?),
+            "--progress" => a.progress = true,
+            "--reduce" => a.reduce = true,
+            "--out" => a.out_dir = Some(value()?),
+            "--store" => a.store_dir = Some(value()?.into()),
+            "--reruns" => a.reruns = number(&arg, value()?)?,
+            "--backend-axis" => a.backend_axis = true,
+            "--backend-deadline-ms" => deadline_ms = Some(number(&arg, value()?)?),
+            "--max-probes" => a.max_probes = number(&arg, value()?)?,
+            "--scale" => a.scale = number(&arg, value()?)?,
+            "--seed" => a.seed = number(&arg, value()?)?,
+            "--workers" => a.workers = number(&arg, value()?)?,
+            "--backend" => match value()?.as_str() {
+                "in-process" => a.backend = BackendSpec::InProcess,
+                "subprocess" => a.backend = BackendSpec::subprocess(),
+                other => {
+                    return Err(format!(
+                        "--backend must be `in-process` or `subprocess`, got {other}"
+                    ))
+                }
+            },
+            "--help" | "-h" => return Err(String::new()),
+            s if s.starts_with('-') => return Err(format!("unknown flag {s}")),
+            _ => a.sections.push(arg),
         }
     }
-    if sections.is_empty() {
-        sections.push("all".to_string());
+    if a.sections.is_empty() {
+        a.sections.push("all".to_string());
     }
-
     // The configurable subprocess deadline applies to the study backend
     // (and so to the stability arm's reruns of its cells) and to bug-store
     // replay alike.
-    if let Some(ms) = backend_deadline_ms {
-        backend = backend.with_deadline(Duration::from_millis(ms));
+    if let Some(ms) = deadline_ms {
+        a.backend = a.backend.with_deadline(Duration::from_millis(ms));
     }
+    Ok(a)
+}
+
+/// A numeric flag value.
+fn number<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String> {
+    value.parse().map_err(|_| format!("bad value {value:?} for {flag}"))
+}
+
+/// Reject a study run that names a section this binary does not render,
+/// before any corpus is generated. The `cache` and `bugs` subcommands
+/// take their own words and are checked where they run.
+fn check_sections(sections: &[String]) -> Result<(), String> {
+    match sections.iter().find(|s| !SECTIONS.split_whitespace().any(|known| known == *s)) {
+        Some(unknown) => Err(format!("unknown section {unknown}")),
+        None => Ok(()),
+    }
+}
+
+fn main() {
+    let a = parse_args(std::env::args().skip(1)).unwrap_or_else(|msg| usage(&msg));
+    let (sections, workers, backend) = (&a.sections, a.workers, &a.backend);
 
     // The `bugs list|show|replay|import|gc` subcommands operate on the
     // persistent bug repository without running a study. A bare `bugs`
@@ -206,12 +202,12 @@ fn main() {
             Some("list" | "show" | "replay" | "import" | "gc")
         )
     {
-        let root = store_dir.clone().unwrap_or_else(BugStore::default_dir);
+        let root = a.store_dir.clone().unwrap_or_else(BugStore::default_dir);
         let store = BugStore::new(&root);
         match sections.get(1).map(String::as_str) {
             Some("list") => bugs_list(&store),
             Some("show") => bugs_show(&store, sections.get(2).map(String::as_str)),
-            Some("replay") => bugs_replay(&store, workers, &backend, events_path.as_deref()),
+            Some("replay") => bugs_replay(&store, workers, backend, a.events.as_deref()),
             Some("import") => bugs_import(&store, sections.get(2).map(String::as_str)),
             Some("gc") => bugs_gc(&store),
             _ => unreachable!(),
@@ -221,7 +217,7 @@ fn main() {
 
     // The `cache` subcommand introspects the store without running anything.
     if sections.first().map(String::as_str) == Some("cache") {
-        let root = cache_dir.unwrap_or_else(ResultCache::default_dir);
+        let root = a.cache_dir.clone().unwrap_or_else(ResultCache::default_dir);
         match sections.get(1).map(String::as_str) {
             Some("stats") => cache_stats(&root),
             Some("clear") => cache_clear(&root),
@@ -233,24 +229,28 @@ fn main() {
         return;
     }
 
+    check_sections(sections).unwrap_or_else(|msg| usage(&msg));
+
     // The translated arm doubles matrix execution; only pay for it when a
     // requested section renders it.
     let translated_arm = sections.iter().any(|s| s == "translation" || s == "all");
 
     let stability_config = sections.iter().any(|s| s == "stability").then(|| {
         StabilityConfig::default()
-            .with_reruns(reruns)
+            .with_reruns(a.reruns)
             .with_workers(workers)
-            .with_backend_axis(backend_axis)
+            .with_backend_axis(a.backend_axis)
     });
 
     eprintln!(
-        "generating corpora and running the study (seed={seed}, scale={scale}, workers={}, backend={})...",
+        "generating corpora and running the study (seed={}, scale={}, workers={}, backend={})...",
+        a.seed,
+        a.scale,
         if workers == 0 { "auto".to_string() } else { workers.to_string() },
         backend.tag()
     );
-    let jsonl = events_path.as_deref().map(open_events_log);
-    let progress_obs = progress.then(ProgressObserver::stderr);
+    let jsonl = a.events.as_deref().map(open_events_log);
+    let progress_obs = a.progress.then(ProgressObserver::stderr);
     let mut observers: Vec<&dyn RunObserver> = Vec::new();
     if let Some(obs) = &jsonl {
         observers.push(obs);
@@ -259,16 +259,16 @@ fn main() {
         observers.push(obs);
     }
     let mut config = StudyConfig::default()
-        .with_seed(seed)
-        .with_scale(scale)
+        .with_seed(a.seed)
+        .with_scale(a.scale)
         .with_workers(workers)
         .with_translated_arm(translated_arm)
         .with_backend(backend.clone());
     if let Some(stability) = &stability_config {
         config = config.with_stability_arm(stability.clone());
     }
-    let cache = use_cache.then(|| {
-        let root = cache_dir.clone().unwrap_or_else(ResultCache::default_dir);
+    let cache = a.use_cache.then(|| {
+        let root = a.cache_dir.clone().unwrap_or_else(ResultCache::default_dir);
         eprintln!("result cache: {}", root.display());
         Arc::new(ResultCache::new(root))
     });
@@ -292,24 +292,14 @@ fn main() {
             f.crashes, f.timeouts, f.protocol_errors, f.restarts, f.spawns
         );
     }
-    if let Some(path) = &events_path {
+    if let Some(path) = &a.events {
         eprintln!("wrote run events to {path}");
     }
-    for section in &sections {
+    for section in sections {
         if section == "triage" {
-            let dir = out_dir.clone().unwrap_or_else(|| "triage-repros".to_string());
-            run_triage(
-                &study,
-                reduce,
-                workers,
-                max_probes,
-                &dir,
-                progress,
-                &backend,
-                store_dir.as_deref(),
-            );
+            run_triage(&study, &a);
         } else if section == "stability" {
-            run_stability(&study, out_dir.as_deref());
+            run_stability(&study, a.out_dir.as_deref());
         } else {
             print_section(&study, section);
         }
@@ -342,26 +332,16 @@ fn run_stability(study: &Study, out_dir: Option<&str>) {
     }
 }
 
-/// The triage section: cluster, optionally reduce, emit verified repros.
-/// With a `--store` directory, reduction runs incrementally against the
-/// persistent bug repository.
-#[allow(clippy::too_many_arguments)]
-fn run_triage(
-    study: &Study,
-    reduce: bool,
-    workers: usize,
-    max_probes: usize,
-    out_dir: &str,
-    progress: bool,
-    backend: &BackendSpec,
-    store_dir: Option<&Path>,
-) {
+/// The triage section: cluster, optionally reduce, emit verified repros
+/// (to `--out`, default `triage-repros`). With a `--store` directory,
+/// reduction runs incrementally against the persistent bug repository.
+fn run_triage(study: &Study, a: &Args) {
     let mut config = TriageConfig::default()
-        .with_reduce(reduce)
-        .with_workers(workers)
-        .with_max_probes(max_probes)
-        .with_backend(backend.clone());
-    let store = store_dir.map(|root| {
+        .with_reduce(a.reduce)
+        .with_workers(a.workers)
+        .with_max_probes(a.max_probes)
+        .with_backend(a.backend.clone());
+    let store = a.store_dir.as_deref().map(|root| {
         eprintln!("bug store: {}", root.display());
         BugStore::shared(root)
     });
@@ -371,7 +351,7 @@ fn run_triage(
     // Only the progress observer follows into triage: reduction probes run
     // in parallel across clusters, and the JSONL observer's per-suite
     // buffering assumes one suite at a time.
-    let progress_obs = progress.then(ProgressObserver::stderr);
+    let progress_obs = a.progress.then(ProgressObserver::stderr);
     let observers: Vec<&dyn RunObserver> = match &progress_obs {
         Some(obs) => vec![obs],
         None => Vec::new(),
@@ -387,9 +367,10 @@ fn run_triage(
             s.hits, s.misses, s.stores, s.corrupt
         );
     }
-    if !reduce {
+    if !a.reduce {
         return;
     }
+    let out_dir = a.out_dir.as_deref().unwrap_or("triage-repros");
     if let Err(e) = std::fs::create_dir_all(out_dir) {
         eprintln!("error: cannot create repro dir {out_dir}: {e}");
         std::process::exit(1);
@@ -428,10 +409,7 @@ fn print_section(study: &Study, section: &str) {
         "translation" => translation_table(study),
         "bugs" => bug_report(study),
         "all" => full_report(study),
-        other => {
-            eprintln!("unknown section: {other}");
-            return;
-        }
+        other => unreachable!("section {other} passed check_sections"),
     };
     println!("{text}");
 }
@@ -601,8 +579,33 @@ fn usage(msg: &str) -> ! {
 
 #[cfg(test)]
 mod tests {
-    use super::ensure_parent_dir;
+    use super::{check_sections, ensure_parent_dir, parse_args};
     use std::path::Path;
+
+    fn parse(args: &[&str]) -> Result<Vec<String>, String> {
+        let args = parse_args(args.iter().map(|a| a.to_string()))?;
+        check_sections(&args.sections)?;
+        Ok(args.sections)
+    }
+
+    #[test]
+    fn unknown_flags_and_sections_are_rejected_before_the_study() {
+        assert_eq!(parse(&[]).unwrap(), ["all"]);
+        assert_eq!(
+            parse(&["triage", "--reduce", "--scale", "0.05", "stability"]).unwrap(),
+            ["triage", "stability"]
+        );
+        // A retired flag is an error, not a section the study runs for.
+        assert_eq!(
+            parse(&["stability", "--fault-schedules"]).unwrap_err(),
+            "unknown flag --fault-schedules"
+        );
+        assert_eq!(parse(&["-x"]).unwrap_err(), "unknown flag -x");
+        assert_eq!(parse(&["figure9"]).unwrap_err(), "unknown section figure9");
+        assert_eq!(parse(&["--scale"]).unwrap_err(), "missing value for --scale");
+        assert_eq!(parse(&["--seed", "x"]).unwrap_err(), "bad value \"x\" for --seed");
+        assert_eq!(parse(&["--help"]).unwrap_err(), "");
+    }
 
     #[test]
     fn ensure_parent_dir_creates_nested_dirs_and_tolerates_bare_names() {

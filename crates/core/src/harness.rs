@@ -26,9 +26,9 @@ use squality_engine::{
 };
 use squality_formats::{file_content_hash, SuiteKind, TestFile};
 use squality_runner::{
-    emit_suite_finished, replay_file_events, Connector, ConnectorFactory, EngineConnector,
-    EngineConnectorFactory, FanoutObserver, NumericMode, Provisionable, RunEvent, RunObserver,
-    Runner, RunnerOptions, TranslationCounts, TranslationMode,
+    emit_suite_finished, replay_file_events, ConnectorError, ConnectorFactory, ConnectorInfo,
+    EngineConnector, EngineConnectorFactory, FanoutObserver, NumericMode, Provisionable, RunEvent,
+    RunObserver, Runner, RunnerOptions, TranslationCounts, TranslationMode,
 };
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -313,8 +313,8 @@ impl<'a> HarnessBuilder<'a> {
 }
 
 /// A fully-configured suite × host execution. Build one with
-/// [`Harness::builder`], then call [`Harness::run`] (scheduler-backed,
-/// any worker count) or [`Harness::run_on`] (a caller-owned connection).
+/// [`Harness::builder`], then call [`Harness::run`]: every file runs
+/// through the worker pool on the configured backend, at any worker count.
 pub struct Harness<'a> {
     source: SuiteSource<'a>,
     environment: Option<&'a DonorEnvironment>,
@@ -345,6 +345,44 @@ pub struct Run {
     /// Backend fault counters (crashes, timeouts, restarts) when the run
     /// executed on [`BackendSpec::Subprocess`]; `None` in-process.
     pub backend_faults: Option<BackendFaultBreakdown>,
+}
+
+/// A connection parked between the runs of one caller, so the next run
+/// resets and reuses it instead of opening its own: a triage cluster's
+/// probes share one in-process connection or one worker process. Every
+/// run through a slot must come from one preset. Each run reads every
+/// connection's coverage, the parked one's included, so the union of a
+/// slot's runs' [`Run::coverage`] is everything they reached.
+#[derive(Default)]
+pub(crate) struct Slot {
+    pub(crate) in_process: Option<EngineConnector>,
+    /// The factory stays with its worker, so a run through the slot reports
+    /// the fault counters of every run since the slot was fresh.
+    pub(crate) subprocess: Option<(SubprocessConnectorFactory, Option<SubprocessConnector>)>,
+}
+
+/// `factory`, except that the first connection it hands out is the one a
+/// [`Slot`] parked, when there is one. The scheduler resets every
+/// connection before each file, so a parked one starts each file as a
+/// fresh one would.
+struct Lend<'f, F: ConnectorFactory> {
+    factory: &'f F,
+    parked: Mutex<Option<F::Conn>>,
+}
+
+impl<F: ConnectorFactory> ConnectorFactory for Lend<'_, F> {
+    type Conn = F::Conn;
+
+    fn connect(&self) -> Result<F::Conn, ConnectorError> {
+        match self.parked.lock().expect("parked connection poisoned").take() {
+            Some(conn) => Ok(conn),
+            None => self.factory.connect(),
+        }
+    }
+
+    fn info(&self) -> ConnectorInfo {
+        self.factory.info()
+    }
 }
 
 impl<'a> Harness<'a> {
@@ -459,15 +497,22 @@ impl<'a> Harness<'a> {
     /// observable (summary, events, tables, coverage unions) is
     /// byte-identical either way.
     pub fn run(&self) -> Run {
+        self.run_in(&mut Slot::default())
+    }
+
+    /// [`Harness::run`], reusing the connection `slot` parked (if any) and
+    /// parking one of this run's connections in it afterwards.
+    pub(crate) fn run_in(&self, slot: &mut Slot) -> Run {
         if matches!(self.backend, BackendSpec::Subprocess { .. }) {
             // Subprocess runs are never cached: their point is observing
             // live process faults. Each worker process reports the
             // coverage it reached; a worker that died contributes only
             // what its restarted successor reached.
-            let factory = self.subprocess_factory();
-            let mut run =
-                self.execute(&factory, None, |conn: &mut SubprocessConnector| conn.coverage());
+            let (factory, mut parked) =
+                slot.subprocess.take().unwrap_or_else(|| (self.subprocess_factory(), None));
+            let mut run = self.execute(&factory, &mut parked, None, SubprocessConnector::coverage);
             run.backend_faults = Some(factory.stats().snapshot());
+            slot.subprocess = Some((factory, parked));
             run
         } else {
             let capture = self.result_cache.as_deref().map(|cache| Capture {
@@ -475,23 +520,19 @@ impl<'a> Harness<'a> {
                 begin: EngineConnector::begin_coverage_capture,
                 end: EngineConnector::end_coverage_capture,
             });
-            self.execute(&self.factory(), capture, |conn: &mut EngineConnector| {
+            self.execute(&self.factory(), &mut slot.in_process, capture, |conn| {
                 std::mem::take(conn.engine_mut().coverage_mut())
             })
         }
     }
 
-    /// A fresh in-process connection configured like this harness's
-    /// workers (host, client, faults, strategy, plan cache), for
-    /// [`Harness::run_on`].
-    pub(crate) fn connector(&self) -> EngineConnector {
-        self.factory().connect().expect("in-process connections always open")
-    }
-
     /// The out-of-process connector factory. The scheduler, runner, and
     /// event paths are the same as in-process — only the factory differs:
     /// a worker process dying mid-file surfaces as transport faults in
-    /// the results, and the suite keeps going.
+    /// the results, and the suite keeps going. Each worker hosts the
+    /// harness's exec strategy and, when the harness shares a plan cache,
+    /// a plan cache of its own; it inherits this process's environment,
+    /// fault-injection hooks included.
     fn subprocess_factory(&self) -> SubprocessConnectorFactory {
         let BackendSpec::Subprocess { bin, deadline, max_restarts } = &self.backend else {
             unreachable!("subprocess_factory is only called for subprocess backends");
@@ -501,23 +542,21 @@ impl<'a> Harness<'a> {
             .or_else(discover_worker_bin)
             // Last resort: let the OS search PATH at spawn time.
             .unwrap_or_else(|| std::path::PathBuf::from("squality-backend-worker"));
-        let mut factory = SubprocessConnectorFactory::new(bin, self.host, self.client)
+        SubprocessConnectorFactory::new(bin, self.host, self.client)
             .with_faults(self.faults)
+            .exec_strategy(self.exec_strategy)
+            .plan_cache(self.plan_cache.is_some())
             .deadline(*deadline)
-            .max_restarts(*max_restarts);
-        for (key, value) in std::env::vars() {
-            // Forward the fault-injection hooks so crash-containment
-            // tests (and CI fault legs) reach the workers.
-            if key == "SQUALITY_CRASH_AFTER" || key == "SQUALITY_HANG_AFTER" {
-                factory = factory.env(&key, &value);
-            }
-        }
-        factory
+            .max_restarts(*max_restarts)
     }
 
     /// The one execution path behind [`Harness::run`]: emit the suite
     /// events, replay cache hits, run the stale files through
     /// [`Runner::run_files`], and stitch everything back in input order.
+    ///
+    /// `parked` is lent to the run as the first connection it would
+    /// otherwise open, and afterwards holds one of the run's connections;
+    /// the others retire.
     ///
     /// Without a `capture` every file is stale. With one, files whose key
     /// the cache holds replay their event blocks and stored coverage
@@ -530,13 +569,14 @@ impl<'a> Harness<'a> {
     /// counters are summed from per-file deltas, which equals one shared
     /// counter set's total because counters record per execution.
     ///
-    /// `coverage_of` empties a retired connection's coverage recorder. A
-    /// closed window unions back into its connection's recorder, so the
-    /// union of hit windows and retired recorders equals an uncached
-    /// run's coverage.
+    /// `coverage_of` empties a connection's coverage recorder. A closed
+    /// window unions back into its connection's recorder, so the union of
+    /// hit windows and connection recorders equals an uncached run's
+    /// coverage.
     fn execute<F>(
         &self,
         factory: &F,
+        parked: &mut Option<F::Conn>,
         capture: Option<Capture<'_, F::Conn>>,
         coverage_of: impl Fn(&mut F::Conn) -> Coverage,
     ) -> Run
@@ -577,8 +617,9 @@ impl<'a> Harness<'a> {
         }
 
         let windows: Mutex<BTreeMap<usize, Coverage>> = Mutex::default();
+        let lend = Lend { factory, parked: Mutex::new(parked.take()) };
         let execution = self.runner().run_files(
-            factory,
+            &lend,
             &stale,
             self.workers,
             |conn: &mut F::Conn| {
@@ -598,12 +639,15 @@ impl<'a> Harness<'a> {
         let mut windows = windows.into_inner().expect("coverage windows poisoned");
 
         // Move the first recorder rather than copying it into an empty one
-        // (most runs retire one or two connections).
-        let mut recorders = execution.connectors.into_iter().map(|mut conn| coverage_of(&mut conn));
+        // (most runs use one or two connections).
+        let mut connectors = execution.connectors;
+        let mut recorders = connectors.iter_mut().map(coverage_of);
         let mut coverage = recorders.next().unwrap_or_default();
         for recorder in recorders {
             coverage.union_with(&recorder);
         }
+        let unused = lend.parked.into_inner().expect("parked connection poisoned");
+        *parked = unused.or_else(|| connectors.into_iter().next());
         let mut results = Vec::with_capacity(files.len());
         let mut translation = TranslationCounts::default();
         let mut records = execution.records.into_iter();
@@ -640,49 +684,6 @@ impl<'a> Harness<'a> {
         let mut summary = summarize(self.source.kind(), self.host, &results);
         summary.translation = translation;
         Run { summary, coverage, backend_faults: None }
-    }
-
-    /// Execute sequentially on one existing, caller-owned connection,
-    /// resetting and provisioning it before each file. Emits the same
-    /// event stream as a 1-worker [`Harness::run`]. Its one production
-    /// caller is [`triage`](crate::triage): ddmin probes of one cluster
-    /// reuse a single connection instead of opening one per probe.
-    pub fn run_on(&self, conn: &mut EngineConnector) -> SuiteRunSummary {
-        let runner = self.runner();
-        let files = self.source.files();
-        let fanout = FanoutObserver(&self.observers);
-        let observed = !self.observers.is_empty();
-        let started = std::time::Instant::now();
-        if observed {
-            let info = conn.info();
-            fanout.on_event(&RunEvent::SuiteStarted {
-                label: &self.label,
-                files: files.len(),
-                connector: &info,
-            });
-        }
-        let mut results = Vec::with_capacity(files.len());
-        for (i, file) in files.iter().enumerate() {
-            // Fresh database per file, then provision per the config.
-            conn.reset();
-            self.provision_conn(conn);
-            results.push(if observed {
-                runner.run_file_observed(conn, file, i, &fanout)
-            } else {
-                runner.run_file(conn, file)
-            });
-        }
-        if observed {
-            squality_runner::events::emit_suite_finished(
-                &fanout,
-                &self.label,
-                &results,
-                started.elapsed().as_nanos() as u64,
-            );
-        }
-        let mut summary = summarize(self.source.kind(), self.host, &results);
-        summary.translation = runner.translation_stats.counts();
-        summary
     }
 }
 
@@ -746,7 +747,7 @@ mod tests {
     }
 
     #[test]
-    fn run_matches_any_worker_count_and_run_on() {
+    fn run_matches_any_worker_count_and_a_reused_slot() {
         let gs = generate_suite_scaled(SuiteKind::Duckdb, 5, 0.06);
         let build = |workers: usize| {
             Harness::builder()
@@ -756,18 +757,26 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        let base = build(1).run().summary;
+        let base = build(1).run();
         for workers in [2, 4] {
             let got = build(workers).run().summary;
-            assert_eq!(got.passed, base.passed, "workers={workers}");
-            assert_eq!(got.failed, base.failed, "workers={workers}");
-            assert_eq!(got.failures, base.failures, "workers={workers}");
-            assert_eq!(got.skip_reasons, base.skip_reasons, "workers={workers}");
+            assert_eq!(got.passed, base.summary.passed, "workers={workers}");
+            assert_eq!(got.failed, base.summary.failed, "workers={workers}");
+            assert_eq!(got.failures, base.summary.failures, "workers={workers}");
+            assert_eq!(got.skip_reasons, base.summary.skip_reasons, "workers={workers}");
         }
-        let mut conn = EngineConnector::new(EngineDialect::Sqlite, ClientKind::Connector);
-        let seq = build(1).run_on(&mut conn);
-        assert_eq!(seq.passed, base.passed);
-        assert_eq!(seq.failures, base.failures);
+        // Runs through one slot reuse its connection and answer as fresh
+        // runs do; together they reach what the fresh run reached.
+        let mut slot = Slot::default();
+        let mut coverage = Coverage::new();
+        for workers in [1, 2, 1] {
+            let got = build(workers).run_in(&mut slot);
+            assert_eq!(got.summary.failures, base.summary.failures, "workers={workers}");
+            assert_eq!(got.summary.skip_reasons, base.summary.skip_reasons, "workers={workers}");
+            assert!(slot.in_process.is_some(), "a connection is parked");
+            coverage.union_with(&got.coverage);
+        }
+        assert_eq!(coverage, base.coverage);
     }
 
     #[test]

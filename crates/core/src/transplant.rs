@@ -202,7 +202,6 @@ mod tests {
     use crate::harness::{Harness, HarnessBuilder};
     use squality_corpus::{generate_suite_scaled, GeneratedSuite};
     use squality_engine::{ClientKind, PlanCache};
-    use squality_runner::EngineConnector;
     use std::sync::Arc;
 
     /// A builder for `suite` on `host` with the unified-runner defaults.
@@ -270,23 +269,6 @@ mod tests {
         }
         // The same files replayed three times: the cache must be hot.
         assert!(cache.stats().hits > 0);
-    }
-
-    #[test]
-    fn caller_owned_connection_matches_the_scheduler_path() {
-        let gs = generate_suite_scaled(SuiteKind::Duckdb, 5, 0.06);
-        let scheduled = run_one(unified(&gs, EngineDialect::Sqlite).workers(2));
-        let mut conn = EngineConnector::new(EngineDialect::Sqlite, ClientKind::Connector);
-        let sequential =
-            unified(&gs, EngineDialect::Sqlite).build().expect("suite is set").run_on(&mut conn);
-        assert_eq!(sequential.total, scheduled.total);
-        assert_eq!(sequential.passed, scheduled.passed);
-        assert_eq!(sequential.failed, scheduled.failed);
-        assert_eq!(sequential.skipped, scheduled.skipped);
-        assert_eq!(sequential.failures, scheduled.failures);
-        assert_eq!(sequential.crashes, scheduled.crashes);
-        assert_eq!(sequential.hangs, scheduled.hangs);
-        assert_eq!(sequential.skip_reasons, scheduled.skip_reasons);
     }
 
     #[test]

@@ -14,13 +14,14 @@
 //!    (`ddmin`) loop probes record subsets of the failing file, sliced
 //!    with their setup closure via [`slice()`](squality_formats::slice()), until the
 //!    file is minimal while *still failing with the identical signature*.
-//!    Probes re-execute through a [`Harness`](crate::Harness) built from
-//!    the exemplar cell's [`CellRef::builder`], so they run under the
-//!    cell's exact configuration (host, client, provision, translation).
-//!    In-process probes of one cluster share one connection through
-//!    [`Harness::run_on`](crate::Harness::run_on); clusters fan out over a
-//!    worker pool, and every probe of the same statement text is a
-//!    statement-plan-cache hit, which is what makes reduction fast.
+//!    Probes re-execute through [`Harness::run`](crate::Harness::run)'s
+//!    one execution path, from the exemplar cell's [`CellRef::builder`],
+//!    so they run under the cell's exact configuration (host, client,
+//!    provision, translation, backend). The probes of one cluster reuse
+//!    one connection, or under `--backend subprocess` one worker process,
+//!    parked between probes; clusters fan out over a worker pool, and
+//!    every probe of the same statement text is a statement-plan-cache
+//!    hit, which is what makes reduction fast.
 //!
 //! The result is the reusable asset the BugForge line of work argues for:
 //! a deduplicated, minimized corpus of self-contained repro files, each
@@ -42,16 +43,15 @@
 //! ```
 
 use crate::experiments::{CellRef, Study};
-use crate::harness::translation_mode;
+use crate::harness::{translation_mode, HarnessBuilder, Slot};
 use squality_backend::BackendSpec;
 use squality_bugstore::{BugArm, BugEntry, BugStore};
-use squality_corpus::DonorEnvironment;
 use squality_engine::{EngineDialect, PlanCache, ENGINE_SEMANTICS_VERSION};
 use squality_formats::{
     parse_slt, write_duckdb, ControlCommand, RecordId, RecordKind, SliceIndex, SliceKey, SltFlavor,
     SuiteKind, TestFile, TestRecord,
 };
-use squality_runner::{pool, EngineConnector, FailureSignature, Outcome, RunObserver};
+use squality_runner::{pool, FailureSignature, Outcome, RunObserver};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -407,15 +407,16 @@ impl<'s> TriageRun<'s> {
         self.indexes[&index_key(exemplar)].get_or_init(|| SliceIndex::new(file))
     }
 
-    fn prober(&self, cluster: &FailureCluster) -> Prober<'_> {
-        let env = &self.study.suite(cluster.exemplar.cell.suite).environment;
-        Prober::new(
-            cluster.exemplar.cell,
-            env,
-            &cluster.signature,
-            &self.plan_cache,
-            &self.config.backend,
-        )
+    /// A cluster's prober: its cell's preset with the study's environment,
+    /// the shared plan cache and the backend.
+    fn prober(&self, cluster: &FailureCluster) -> Prober<'s> {
+        let cell = cluster.exemplar.cell;
+        let preset = cell
+            .builder()
+            .environment(&self.study.suite(cell.suite).environment)
+            .plan_cache(Arc::clone(&self.plan_cache))
+            .backend(self.config.backend.clone());
+        Prober::new(cell, preset, &cluster.signature)
     }
 
     /// Reduce one cluster, consulting the bug store first when one is
@@ -615,29 +616,23 @@ fn store_entry(
 /// with the target signature?".
 struct Prober<'a> {
     cell: CellRef,
-    env: &'a DonorEnvironment,
+    /// The exemplar cell's configuration; each probe narrows it to one
+    /// candidate file.
+    preset: HarnessBuilder<'a>,
     /// The cluster signature without its stability verdict: probe failures
     /// are always pre-annotation (`stability: None`), while a cluster
     /// signature from a stability-arm study carries its verdict.
     want: FailureSignature,
-    plan_cache: &'a Arc<PlanCache>,
-    backend: &'a BackendSpec,
-    /// The in-process connection every probe reuses, opened by the first;
-    /// `Harness::run_on` resets it before each file.
-    conn: Option<EngineConnector>,
+    /// The connection (or worker process) every probe reuses, opened by
+    /// the first and reset before each file.
+    slot: Slot,
 }
 
 impl<'a> Prober<'a> {
-    fn new(
-        cell: CellRef,
-        env: &'a DonorEnvironment,
-        signature: &FailureSignature,
-        plan_cache: &'a Arc<PlanCache>,
-        backend: &'a BackendSpec,
-    ) -> Prober<'a> {
+    fn new(cell: CellRef, preset: HarnessBuilder<'a>, signature: &FailureSignature) -> Prober<'a> {
         let mut want = signature.clone();
         want.stability = None;
-        Prober { cell, env, want, plan_cache, backend, conn: None }
+        Prober { cell, preset, want, slot: Slot::default() }
     }
 
     fn fails_with_signature(
@@ -646,25 +641,15 @@ impl<'a> Prober<'a> {
         observers: &[&dyn RunObserver],
     ) -> bool {
         let mut builder = self
-            .cell
-            .builder()
+            .preset
+            .clone()
             .files(self.cell.suite, std::slice::from_ref(candidate))
-            .environment(self.env)
-            .plan_cache(Arc::clone(self.plan_cache))
-            .backend(self.backend.clone())
             .label(format!("triage {} {}", self.cell.label(), candidate.name));
         for obs in observers {
             builder = builder.observer(*obs);
         }
-        let harness = builder.build().expect("files are always set");
-        let summary = if matches!(self.backend, BackendSpec::Subprocess { .. }) {
-            // Re-verify against a live worker process: the repro must
-            // reproduce across the process boundary too.
-            harness.run().summary
-        } else {
-            harness.run_on(self.conn.get_or_insert_with(|| harness.connector()))
-        };
-        summary.failures.iter().any(|f| match &f.result.outcome {
+        let run = builder.build().expect("files are always set").run_in(&mut self.slot);
+        run.summary.failures.iter().any(|f| match &f.result.outcome {
             Outcome::Fail(info) => info.signature == self.want,
             _ => false,
         })
@@ -817,28 +802,22 @@ pub fn reduce_file(
     host: EngineDialect,
     max_probes: usize,
 ) -> Option<FileReduction> {
-    let env = DonorEnvironment::default();
-    let plan_cache = PlanCache::shared();
     let cell = CellRef { suite: kind, host, arm: BugArm::DonorBare };
+    let preset = cell.builder().plan_cache(PlanCache::shared());
 
     // Find the target: the first failure of the bare run.
-    let harness = cell
-        .builder()
-        .files(kind, std::slice::from_ref(file))
-        .plan_cache(Arc::clone(&plan_cache))
-        .build()
-        .expect("files are set");
-    let mut conn = harness.connector();
-    let summary = harness.run_on(&mut conn);
+    let mut slot = Slot::default();
+    let harness = preset.clone().files(kind, std::slice::from_ref(file)).build();
+    let summary = harness.expect("files are set").run_in(&mut slot).summary;
     let target = summary.failures.first()?;
     let Outcome::Fail(info) = &target.result.outcome else { return None };
     let signature = info.signature.clone();
     let exemplar_line = target.id.line as usize;
 
     let index = SliceIndex::new(file);
-    let mut prober = Prober::new(cell, &env, &signature, &plan_cache, &BackendSpec::InProcess);
+    let mut prober = Prober::new(cell, preset, &signature);
     // The bare run's connection is exactly what the probes need.
-    prober.conn = Some(conn);
+    prober.slot = slot;
     let mut probe = SliceProbe::new(&index, exemplar_line, prober);
     let candidates = probe.candidates();
     let mut budget = max_probes;
@@ -1143,8 +1122,10 @@ mod tests {
                     subset.iter().chain([&line]).map(|l| RecordId::new(*l, 0)).collect();
                 squality_formats::slice(file, &keep)
             };
+            let preset =
+                exemplar.cell.builder().environment(env).plan_cache(Arc::clone(&plan_cache));
             let fresh = |candidate: &TestFile| {
-                Prober::new(exemplar.cell, env, &cluster.signature, &plan_cache, &config.backend)
+                Prober::new(exemplar.cell, preset.clone(), &cluster.signature)
                     .fails_with_signature(candidate, &[])
             };
             let candidates: Vec<usize> =
@@ -1165,8 +1146,7 @@ mod tests {
             // cluster whose outcome depends on the kept records, through
             // pseudo-random subsets, every third one a repeat.
             let index = SliceIndex::new(file);
-            let prober =
-                Prober::new(exemplar.cell, env, &cluster.signature, &plan_cache, &config.backend);
+            let prober = Prober::new(exemplar.cell, preset.clone(), &cluster.signature);
             let mut probe = SliceProbe::new(&index, line, prober);
             let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ r.cluster as u64;
             let mut asked: Vec<Vec<usize>> = Vec::new();
@@ -1191,6 +1171,51 @@ mod tests {
             varied += 1;
         }
         assert!(compared > 0 && varied > 0, "{compared} reductions, {varied} varied");
+    }
+
+    /// A subprocess spec running the worker binary next to this test
+    /// executable, built on demand when this crate's tests run alone.
+    fn worker_spec() -> BackendSpec {
+        let mut dir = std::env::current_exe().expect("test executable path");
+        dir.pop(); // target/<profile>/deps
+        dir.pop(); // target/<profile>
+        let bin = dir.join(format!("squality-backend-worker{}", std::env::consts::EXE_SUFFIX));
+        if !bin.exists() {
+            let mut cmd = std::process::Command::new(env!("CARGO"));
+            cmd.args(["build", "-p", "squality-backend", "--bin", "squality-backend-worker"]);
+            if !cfg!(debug_assertions) {
+                cmd.arg("--release");
+            }
+            assert!(cmd.status().expect("spawn cargo").success(), "building the worker failed");
+        }
+        let BackendSpec::Subprocess { deadline, max_restarts, .. } = BackendSpec::subprocess()
+        else {
+            unreachable!("subprocess() is a subprocess spec")
+        };
+        BackendSpec::Subprocess { bin: Some(bin), deadline, max_restarts }
+    }
+
+    #[test]
+    fn a_clusters_probes_share_one_worker_process() {
+        let text = "statement ok\nCREATE TABLE t(a INTEGER)\n\n\
+                    query I nosort\nSELECT count(*) FROM missing_table\n----\n1\n";
+        let file = parse_slt("probe.test", text, SltFlavor::Classic);
+        let target = reduce_file(&file, SuiteKind::Slt, EngineDialect::Sqlite, 8).unwrap();
+        let cell =
+            CellRef { suite: SuiteKind::Slt, host: EngineDialect::Sqlite, arm: BugArm::DonorBare };
+        let mut prober =
+            Prober::new(cell, cell.builder().backend(worker_spec()), &target.signature);
+        let mut pids = Vec::new();
+        for candidate in [&file, &target.reduced, &file] {
+            // Out of process, the probes read as the in-process reduction did.
+            assert!(prober.fails_with_signature(candidate, &[]), "{}", write_duckdb(candidate));
+            let Some((factory, Some(conn))) = &prober.slot.subprocess else {
+                panic!("no worker parked after a subprocess probe");
+            };
+            assert_eq!(factory.stats().snapshot().spawns, 1, "one worker for the cluster");
+            pids.push(conn.backend_pid().expect("the parked worker is alive"));
+        }
+        assert!(pids.iter().all(|pid| *pid == pids[0]), "{pids:?}");
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::process::Command;
 use std::sync::{Mutex, OnceLock};
 
 /// The crash/hang hooks are process-global environment variables, and the
-/// harness forwards them to workers at run time — serialize the tests
+/// workers inherit them from this process at spawn — serialize the tests
 /// that run subprocess backends so one test's injection cannot leak into
 /// another's clean run.
 fn env_lock() -> &'static Mutex<()> {

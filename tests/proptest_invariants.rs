@@ -358,7 +358,7 @@ proptest! {
     ) {
         use squality::core::triage::reduce_file;
         use squality::core::Harness;
-        use squality::runner::{EngineConnector, Outcome};
+        use squality::runner::Outcome;
 
         // Assemble the file as SLT text so records carry real line numbers.
         let failing = match fail_kind {
@@ -397,13 +397,13 @@ proptest! {
 
         // (b) Standalone re-execution fails with the identical signature.
         let files = [r.reduced.clone()];
-        let mut conn = EngineConnector::new(EngineDialect::Sqlite, ClientKind::Connector);
         let summary = Harness::builder()
             .files(SuiteKind::Slt, &files)
             .host(EngineDialect::Sqlite)
             .build()
             .unwrap()
-            .run_on(&mut conn);
+            .run()
+            .summary;
         let preserved = summary.failures.iter().any(|f| match &f.result.outcome {
             Outcome::Fail(info) => info.signature == r.signature,
             _ => false,
